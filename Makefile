@@ -1,7 +1,7 @@
 # Core benchmarks tracked across PRs: the precompute grid (allocations per
-# replay are the dense-engine target figure), the cluster-space build
-# (packed/slice keys across worker counts), the per-replay sweep unit, the
-# single-run algorithms, and the Delta-Judgment ablation.
+# replay are the dense-engine target figure), the cluster-space build across
+# worker counts, the per-replay sweep unit, the single-run algorithms, and
+# the Delta-Judgment ablation.
 BENCH_ROOT    := BenchmarkFig7PrecomputeKParallel|BenchmarkFig6VaryD|BenchmarkFig8Delta|BenchmarkBuildIndexMovieLens|BenchmarkApplyDelta|BenchmarkExecuteMovieLens|BenchmarkAppendWAL|BenchmarkJoinMovieLens|BenchmarkJoinTriangle|BenchmarkTraceOverhead
 BENCH_SUMMARIZE := BenchmarkSweeperRunD
 BENCH_COUNT   ?= 1
@@ -65,7 +65,7 @@ benchgate: bench
 
 # fuzz gives the SQL front end a short adversarial workout: the parser
 # fuzzer, then the differential executor fuzzer (reference vs vectorized at
-# par 1/8 x packed/string keys x hash/generic join paths).
+# par 1/8 x auto/hash/generic join paths, including multi-word keys).
 fuzz:
 	go test -run '^$$' -fuzz FuzzParse -fuzztime 30s ./internal/engine/
 	go test -run '^$$' -fuzz FuzzExec -fuzztime 30s ./internal/engine/

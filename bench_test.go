@@ -293,11 +293,10 @@ func BenchmarkFig8InitOpt(b *testing.B) {
 }
 
 // BenchmarkBuildIndexMovieLens measures cluster-space construction on the
-// MovieLens space (m=8, N≈2087, L=500) across key representations and
-// phase-2 worker counts: slice-par1 is the pre-packed baseline, packed-par1
-// isolates the uint64-key win, and the higher worker counts add the parallel
-// coverage mapping. The built index is bit-identical in every variant (see
-// the lattice build tests).
+// MovieLens space (m=8, N≈2087, L=500, one-word packed keys) across phase-2
+// worker counts: packed-par1 is the sequential build, and the higher worker
+// counts add the parallel coverage mapping. The built index is bit-identical
+// in every variant (see the lattice build tests).
 func BenchmarkBuildIndexMovieLens(b *testing.B) {
 	s := getState(b)
 	L := 500
@@ -313,7 +312,6 @@ func BenchmarkBuildIndexMovieLens(b *testing.B) {
 			}
 		})
 	}
-	run("slice-par1", lattice.WithSliceKeys(), lattice.BuildParallelism(1))
 	run("packed-par1", lattice.BuildParallelism(1))
 	for _, par := range []int{2, 4, 8} {
 		run("packed-par"+itoa(par), lattice.BuildParallelism(par))
@@ -677,8 +675,8 @@ func BenchmarkAppendWAL(b *testing.B) {
 
 // BenchmarkJoinMovieLens measures the multi-table path on the MovieLens star
 // schema: the running example's aggregate over ratings JOIN users JOIN
-// movies (acyclic, so the auto rule picks left-deep hash joins), on packed
-// and string build keys and across worker counts, plus the forced
+// movies (acyclic, so the auto rule picks left-deep hash joins), across
+// worker counts, plus the forced
 // worst-case-optimal plan for comparison. All variants are bit-identical
 // to the nested-loop reference (see internal/engine and internal/movielens
 // equivalence tests); this measures pure join + aggregation cost.
@@ -703,7 +701,6 @@ func BenchmarkJoinMovieLens(b *testing.B) {
 	}{
 		{"hash_par1", []qagview.QueryOption{qagview.ExecParallelism(1)}},
 		{"hash_par8", []qagview.QueryOption{qagview.ExecParallelism(8)}},
-		{"hash_par8_strkeys", []qagview.QueryOption{qagview.ExecParallelism(8), qagview.ExecStringKeys()}},
 		{"wcoj_par8", []qagview.QueryOption{qagview.ExecParallelism(8), qagview.ExecGenericJoin()}},
 	} {
 		b.Run(v.name, func(b *testing.B) {

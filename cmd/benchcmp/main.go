@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	benchcmp -baseline bench_baseline.json -candidate BENCH_7.json [-threshold 0.30]
+//	benchcmp -baseline bench_baseline.json -candidate BENCH_10.json [-threshold 0.30]
 //
 // Benchmarks present in only one file are reported but never fail the gate
 // (benchmarks come and go across PRs); the gate only guards benchmarks both
@@ -35,7 +35,7 @@ type result struct {
 
 func main() {
 	baselinePath := flag.String("baseline", "bench_baseline.json", "committed baseline JSON")
-	candidatePath := flag.String("candidate", "BENCH_7.json", "freshly measured JSON")
+	candidatePath := flag.String("candidate", "BENCH_10.json", "freshly measured JSON (make bench's BENCH_JSON)")
 	threshold := flag.Float64("threshold", 0.30, "relative regression that fails the gate (0.30 = +30%)")
 	flag.Parse()
 

@@ -78,13 +78,12 @@ const (
 
 // execConfig collects execution options.
 type execConfig struct {
-	par        int
-	ctx        context.Context
-	reference  bool
-	stringKeys bool
-	joins      joinMode
-	profile    bool
-	prof       *execProf // non-nil iff profile
+	par       int
+	ctx       context.Context
+	reference bool
+	joins     joinMode
+	profile   bool
+	prof      *execProf // non-nil iff profile
 }
 
 // ExecOption customizes query execution. The zero configuration runs the
@@ -112,14 +111,6 @@ func ExecContext(ctx context.Context) ExecOption {
 // differential tests.
 func ExecReference() ExecOption {
 	return func(c *execConfig) { c.reference = true }
-}
-
-// ExecStringKeys forces the vectorized executor's string-key fallback over
-// the packed uint64 group keys (the fallback engages automatically when the
-// group columns' dictionary widths exceed 64 bits), for ablations; output is
-// identical either way. The same switch governs hash-join build keys.
-func ExecStringKeys() ExecOption {
-	return func(c *execConfig) { c.stringKeys = true }
 }
 
 // ExecHashJoin forces the left-deep binary hash-join plan even on cyclic

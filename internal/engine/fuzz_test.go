@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -103,8 +104,9 @@ func FuzzParse(f *testing.F) {
 // fuzzExecCatalog is the multi-table catalog for FuzzExec: a fact table
 // reachable as both "t" and "ratings" (the single-table seeds use either), a
 // string-keyed dimension sharing key values with the fact's "a" column, a
-// float-keyed dimension whose keys include NaN and -0, and a tiny edge table
-// so fuzzed self-joins can form cyclic graphs and reach the leapfrog path.
+// float-keyed dimension whose keys include NaN and -0, a tiny edge table so
+// fuzzed self-joins can form cyclic graphs and reach the leapfrog path, and
+// a wide table whose columns need multi-word keys.
 func fuzzExecCatalog(f *testing.F) catalog {
 	f.Helper()
 	fact, err := relation.FromColumns("ratings",
@@ -137,17 +139,51 @@ func fuzzExecCatalog(f *testing.F) catalog {
 	if err != nil {
 		f.Fatal(err)
 	}
-	return catalog{"t": fact, "ratings": fact, "dim": dim, "fdim": fdim, "edges": edges}
+	// wide has twelve columns w0..w11 (int, string and float in turn) of 41
+	// distinct values each: 6-bit key fields, ten to a word, so grouping or
+	// joining on eleven of them needs two key words. Rows i and i+41 agree on
+	// every column, so wide self-joins match more than the diagonal.
+	const wideRows, wideCols = 48, 12
+	cols := make([]relation.Column, wideCols)
+	for k := range cols {
+		name := fmt.Sprintf("w%d", k)
+		vals := make([]int64, wideRows)
+		for i := range vals {
+			vals[i] = int64((i*(3+2*k) + k) % 41)
+		}
+		switch k % 3 {
+		case 0:
+			cols[k] = relation.IntCol(name, vals)
+		case 1:
+			strs := make([]string, wideRows)
+			for i, v := range vals {
+				strs[i] = fmt.Sprintf("s\x00%d", v)
+			}
+			cols[k] = relation.StringCol(name, strs)
+		default:
+			fl := make([]float64, wideRows)
+			for i, v := range vals {
+				fl[i] = float64(v) / 2
+			}
+			cols[k] = relation.FloatCol(name, fl)
+		}
+	}
+	wide, err := relation.FromColumns("wide", cols...)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return catalog{"t": fact, "ratings": fact, "dim": dim, "fdim": fdim, "edges": edges, "wide": wide}
 }
 
 // FuzzExec is the differential fuzzer for the executors: every accepted
 // query runs through the row-at-a-time (nested-loop) reference and through
-// the vectorized pipeline at several worker counts, on both key paths and
-// every join strategy, and all of them must agree bit for bit (or all fail
-// with the same error). The fuzz relations include NUL-bearing strings, NaN,
-// and -0 to stress the key encodings, and the catalog has joinable
-// dimension/edge tables so fuzzed FROM clauses exercise the hash and
-// worst-case-optimal join paths against the nested-loop reference.
+// the vectorized pipeline at several worker counts and on every join
+// strategy, and all of them must agree bit for bit (or all fail with the
+// same error). The fuzz relations include NUL-bearing strings, NaN, and -0
+// to stress the key encodings, the catalog has joinable dimension/edge
+// tables so fuzzed FROM clauses exercise the hash and worst-case-optimal
+// join paths against the nested-loop reference, and its wide table drives
+// group and join keys past one word.
 func FuzzExec(f *testing.F) {
 	seeds := []string{
 		"SELECT gender, occupation, avg(rating) AS val FROM ratings WHERE adventure = 1 AND gender != 'X' GROUP BY gender, occupation HAVING count(*) > 1 ORDER BY val DESC LIMIT 10",
@@ -163,6 +199,10 @@ func FuzzExec(f *testing.F) {
 		"select e1.src, count(*) as c from edges e1 join e2 on e1.dst = e2.src group by e1.src",
 		"select e1.src, count(*) as c from edges e1 join edges e2 on e1.dst = e2.src join edges e3 on e2.dst = e3.src and e3.dst = e1.src group by e1.src order by c desc",
 		"select d1.region, d2.region, count(*) as c from dim d1 join dim d2 on d1.a = d2.a group by d1.region, d2.region",
+		"select w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, w10, count(*) as c from wide group by w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, w10 order by c desc",
+		"select w1, w4, w7, w10, w2, w5, w8, w11, w0, w3, w6, avg(w9) as v from wide where w9 > 3 group by w1, w4, w7, w10, w2, w5, w8, w11, w0, w3, w6 having count(*) > 0 order by v desc limit 5",
+		"select x.w0, y.w11, count(*) as c from wide x join wide y on x.w0 = y.w0 and x.w1 = y.w1 and x.w2 = y.w2 and x.w3 = y.w3 and x.w4 = y.w4 and x.w5 = y.w5 and x.w6 = y.w6 and x.w7 = y.w7 and x.w8 = y.w8 and x.w9 = y.w9 and x.w10 = y.w10 group by x.w0, y.w11 order by c desc",
+		"select x.w2, sum(z.w3) as v from wide x join wide y on x.w11 = y.w11 and x.w10 = y.w10 and x.w9 = y.w9 and x.w8 = y.w8 and x.w7 = y.w7 and x.w6 = y.w6 and x.w5 = y.w5 and x.w4 = y.w4 and x.w3 = y.w3 and x.w2 = y.w2 and x.w1 = y.w1 join wide z on y.w1 = z.w1 group by x.w2 order by v desc",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -183,34 +223,29 @@ func FuzzExec(f *testing.F) {
 		}
 		want, refErr := Execute(cat, q, ExecReference())
 		for _, par := range []int{1, 8} {
-			for _, strKeys := range []bool{false, true} {
-				for _, mode := range joinModes {
-					opts := append([]ExecOption{ExecParallelism(par)}, mode.opt...)
-					if strKeys {
-						opts = append(opts, ExecStringKeys())
+			for _, mode := range joinModes {
+				opts := append([]ExecOption{ExecParallelism(par)}, mode.opt...)
+				got, err := Execute(cat, q, opts...)
+				if (err == nil) != (refErr == nil) {
+					t.Fatalf("par=%d join=%s: err = %v, reference err = %v (query %q)", par, mode.name, err, refErr, sql)
+				}
+				if err != nil {
+					if err.Error() != refErr.Error() {
+						t.Fatalf("par=%d join=%s: err %q, reference err %q (query %q)", par, mode.name, err, refErr, sql)
 					}
-					got, err := Execute(cat, q, opts...)
-					if (err == nil) != (refErr == nil) {
-						t.Fatalf("par=%d strKeys=%v join=%s: err = %v, reference err = %v (query %q)", par, strKeys, mode.name, err, refErr, sql)
-					}
-					if err != nil {
-						if err.Error() != refErr.Error() {
-							t.Fatalf("par=%d strKeys=%v join=%s: err %q, reference err %q (query %q)", par, strKeys, mode.name, err, refErr, sql)
-						}
-						continue
-					}
-					if !reflect.DeepEqual(want.GroupBy, got.GroupBy) || want.ValName != got.ValName ||
-						want.Table != got.Table || !reflect.DeepEqual(want.Tables, got.Tables) ||
-						!reflect.DeepEqual(want.Rows, got.Rows) {
-						t.Fatalf("par=%d strKeys=%v join=%s: result mismatch for %q:\nwant %+v\ngot  %+v", par, strKeys, mode.name, sql, want, got)
-					}
-					if len(want.Vals) != len(got.Vals) {
-						t.Fatalf("par=%d strKeys=%v join=%s: %d vals, want %d (query %q)", par, strKeys, mode.name, len(got.Vals), len(want.Vals), sql)
-					}
-					for i := range want.Vals {
-						if math.Float64bits(want.Vals[i]) != math.Float64bits(got.Vals[i]) {
-							t.Fatalf("par=%d strKeys=%v join=%s: val[%d] bits differ: %v vs %v (query %q)", par, strKeys, mode.name, i, got.Vals[i], want.Vals[i], sql)
-						}
+					continue
+				}
+				if !reflect.DeepEqual(want.GroupBy, got.GroupBy) || want.ValName != got.ValName ||
+					want.Table != got.Table || !reflect.DeepEqual(want.Tables, got.Tables) ||
+					!reflect.DeepEqual(want.Rows, got.Rows) {
+					t.Fatalf("par=%d join=%s: result mismatch for %q:\nwant %+v\ngot  %+v", par, mode.name, sql, want, got)
+				}
+				if len(want.Vals) != len(got.Vals) {
+					t.Fatalf("par=%d join=%s: %d vals, want %d (query %q)", par, mode.name, len(got.Vals), len(want.Vals), sql)
+				}
+				for i := range want.Vals {
+					if math.Float64bits(want.Vals[i]) != math.Float64bits(got.Vals[i]) {
+						t.Fatalf("par=%d join=%s: val[%d] bits differ: %v vs %v (query %q)", par, mode.name, i, got.Vals[i], want.Vals[i], sql)
 					}
 				}
 			}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -660,13 +659,12 @@ func buildJoinCodes(rel *relation.Relation, col int, kind joinKeyKind) ([]int32,
 }
 
 // hashTuples runs the left-deep binary plan: tuples over the first table
-// start as its ascending row ids, and every JOIN step builds a hash table
-// over the new table keyed by its ON columns' join codes — packed into one
-// uint64 via pattern.NewCodec when the dictionary widths fit, concatenated
-// little-endian bytes otherwise — and probes it with the current tuples,
-// morsel-parallel with a shard-ordered merge. Probing tuples in order and
-// storing build rows ascending keeps the output in canonical lexicographic
-// order at every worker count.
+// start as its ascending row ids, and every JOIN step builds a key table
+// over the new table keyed by its ON columns' join codes, packed by a
+// pattern.Codec over the codes' cardinalities, and probes it with the
+// current tuples, morsel-parallel with a shard-ordered merge. Probing
+// tuples in order and listing each key's build rows ascending keeps the
+// output in canonical lexicographic order at every worker count.
 func (jp *joinPlan) hashTuples(cfg execConfig) ([][]int32, error) {
 	base := make([]int32, jp.rels[0].NumRows())
 	for i := range base {
@@ -729,44 +727,43 @@ func (jp *joinPlan) hashStep(cur [][]int32, step int, cfg execConfig) ([][]int32
 		probeTab[k] = c.lt
 	}
 
-	// Key layout: packed when the per-condition code widths fit one word.
-	var shifts []uint
-	packed := false
-	if !cfg.stringKeys {
-		if codec, ok := pattern.NewCodec(cards); ok {
-			packed = true
-			shifts = make([]uint, nc)
-			for k := range shifts {
-				shifts[k] = uint(bits.TrailingZeros64(codec.Field(k)))
-			}
+	// Build table: every build row's key gets a dense key id, and the rows
+	// are counting-sorted by key id. Rows are scanned ascending, so every
+	// key's row list rows[start[g]:start[g+1]] is ascending and probe output
+	// stays in canonical order.
+	codec := pattern.NewCodec(cards)
+	nb := build.NumRows()
+	// The build side has at most min(nb, Π cards) distinct keys.
+	distinct := 1
+	for _, c := range cards {
+		distinct *= c
+		if distinct >= nb {
+			break
 		}
 	}
-
-	// Build table: rows scanned ascending, so every key's row list is
-	// ascending and probe output stays in canonical order.
-	nb := build.NumRows()
-	var hmap map[uint64][]int32
-	var smap map[string][]int32
-	if packed {
-		hmap = make(map[uint64][]int32, nb)
-		for r := 0; r < nb; r++ {
-			var key uint64
-			for k := range codes {
-				key |= uint64(uint32(codes[k][r])) << shifts[k]
-			}
-			hmap[key] = append(hmap[key], int32(r))
+	keys := pattern.NewTable(codec.Words(), min(nb, distinct))
+	key := make([]uint64, codec.Words())
+	tup := make(pattern.Pattern, nc)
+	keyOf := make([]int32, nb)
+	for r := 0; r < nb; r++ {
+		for k := range codes {
+			tup[k] = codes[k][r]
 		}
-	} else {
-		smap = make(map[string][]int32, nb)
-		var kb []byte
-		for r := 0; r < nb; r++ {
-			kb = kb[:0]
-			for k := range codes {
-				c := uint32(codes[k][r])
-				kb = append(kb, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
-			}
-			smap[string(kb)] = append(smap[string(kb)], int32(r))
-		}
+		codec.Pack(tup, key)
+		keyOf[r], _ = keys.Insert(key, int32(keys.Len()))
+	}
+	start := make([]int32, keys.Len()+1)
+	for _, g := range keyOf {
+		start[g+1]++
+	}
+	for g := 1; g < len(start); g++ {
+		start[g] += start[g-1]
+	}
+	rows := make([]int32, nb)
+	fill := append([]int32(nil), start[:keys.Len()]...)
+	for r, g := range keyOf {
+		rows[fill[g]] = int32(r)
+		fill[g]++
 	}
 
 	bsp.SetInt("rows", int64(nb))
@@ -777,42 +774,27 @@ func (jp *joinPlan) hashStep(cur [][]int32, step int, cfg execConfig) ([][]int32
 
 	// probe translates one morsel of tuples and appends every match to dst.
 	probe := func(lo, hi int, dst [][]int32) [][]int32 {
-		var kb []byte
+		key := make([]uint64, codec.Words())
+		tup := make(pattern.Pattern, nc)
 		for i := lo; i < hi; i++ {
-			var rows []int32
-			if packed {
-				var key uint64
-				miss := false
-				for k := range trans {
-					bc := trans[k][probeCodes[k][cur[probeTab[k]][i]]]
-					if bc < 0 {
-						miss = true
-						break
-					}
-					key |= uint64(uint32(bc)) << shifts[k]
+			miss := false
+			for k := range trans {
+				bc := trans[k][probeCodes[k][cur[probeTab[k]][i]]]
+				if bc < 0 {
+					miss = true
+					break
 				}
-				if miss {
-					continue
-				}
-				rows = hmap[key]
-			} else {
-				kb = kb[:0]
-				miss := false
-				for k := range trans {
-					bc := trans[k][probeCodes[k][cur[probeTab[k]][i]]]
-					if bc < 0 {
-						miss = true
-						break
-					}
-					c := uint32(bc)
-					kb = append(kb, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
-				}
-				if miss {
-					continue
-				}
-				rows = smap[string(kb)]
+				tup[k] = bc
 			}
-			for _, br := range rows {
+			if miss {
+				continue
+			}
+			codec.Pack(tup, key)
+			g, ok := keys.Find(key)
+			if !ok {
+				continue
+			}
+			for _, br := range rows[start[g]:start[g+1]] {
 				for t := 0; t < newT; t++ {
 					dst[t] = append(dst[t], cur[t][i])
 				}

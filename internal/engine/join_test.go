@@ -14,9 +14,8 @@ import (
 )
 
 // joinGrid runs sql through the nested-loop reference and through every
-// optimized combination — worker counts 1, 2, 8 × packed/string keys ×
-// auto/hash/generic join paths — asserting each reproduces the reference
-// bit for bit.
+// optimized combination — worker counts 1, 2, 8 × auto/hash/generic join
+// paths — asserting each reproduces the reference bit for bit.
 func joinGrid(t *testing.T, cat Catalog, sql string) {
 	t.Helper()
 	want, err := ExecuteSQL(cat, sql, ExecReference())
@@ -24,27 +23,22 @@ func joinGrid(t *testing.T, cat Catalog, sql string) {
 		t.Fatalf("reference: %v (query %s)", err, sql)
 	}
 	for _, par := range []int{1, 2, 8} {
-		for _, strKeys := range []bool{false, true} {
-			for _, mode := range []string{"auto", "hash", "generic"} {
-				opts := []ExecOption{ExecParallelism(par)}
-				if strKeys {
-					opts = append(opts, ExecStringKeys())
-				}
-				switch mode {
-				case "hash":
-					opts = append(opts, ExecHashJoin())
-				case "generic":
-					opts = append(opts, ExecGenericJoin())
-				}
-				got, err := ExecuteSQL(cat, sql, opts...)
-				if err != nil {
-					t.Fatalf("par=%d strKeys=%v mode=%s: %v (query %s)", par, strKeys, mode, err, sql)
-				}
-				label := fmt.Sprintf("par=%d strKeys=%v mode=%s query=%s", par, strKeys, mode, sql)
-				assertBitIdentical(t, label, want, got)
-				if !reflect.DeepEqual(want.Tables, got.Tables) {
-					t.Fatalf("%s: Tables = %v, want %v", label, got.Tables, want.Tables)
-				}
+		for _, mode := range []string{"auto", "hash", "generic"} {
+			opts := []ExecOption{ExecParallelism(par)}
+			switch mode {
+			case "hash":
+				opts = append(opts, ExecHashJoin())
+			case "generic":
+				opts = append(opts, ExecGenericJoin())
+			}
+			got, err := ExecuteSQL(cat, sql, opts...)
+			if err != nil {
+				t.Fatalf("par=%d mode=%s: %v (query %s)", par, mode, err, sql)
+			}
+			label := fmt.Sprintf("par=%d mode=%s query=%s", par, mode, sql)
+			assertBitIdentical(t, label, want, got)
+			if !reflect.DeepEqual(want.Tables, got.Tables) {
+				t.Fatalf("%s: Tables = %v, want %v", label, got.Tables, want.Tables)
 			}
 		}
 	}

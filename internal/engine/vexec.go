@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math"
-	"math/bits"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -16,10 +15,10 @@ import (
 // Execute. The relation is cut into fixed-size morsels of consecutive rows;
 // workers pull morsels from a shared counter and run the per-row work that
 // parallelizes — predicate kernels producing selection vectors, dictionary
-// codes packed into uint64 group keys, per-morsel grouping into a local
-// open-addressing table, and gathers of the aggregate columns — while one
-// deterministic merge consumes the morsels in shard order and folds them
-// into the global group table.
+// codes packed into group keys (pattern.Codec), per-morsel grouping into a
+// local key table (pattern.Table), and gathers of the aggregate columns —
+// while one deterministic merge consumes the morsels in shard order and
+// folds them into the global group table.
 //
 // The merge is what makes the output bit-identical to the row-at-a-time
 // reference (executeRef) at every worker count: morsels are contiguous
@@ -37,25 +36,18 @@ import (
 // small enough that a morsel's selection and key vectors stay cache-resident.
 const morselRows = 4096
 
-// fibHash is 2^64/phi, the multiplicative-hash constant of
-// lattice.packedMap; packed group keys have the same low-entropy shape as
-// packed patterns (few fields vary), which this spreads well.
-const fibHash = 0x9E3779B97F4A7C15
-
 // vecPlan extends the resolved plan with the vectorized execution state:
-// per-group-column dictionary codes and the packed-key layout.
+// per-group-column dictionary codes and the packed-key layout derived from
+// their cardinalities.
 type vecPlan struct {
 	*execPlan
-	codes  [][]int32 // dictionary codes per group column, full-table
-	shifts []uint    // bit offset of each group column's packed field
-	packed bool      // false: string-key fallback (widths exceed 64 bits)
+	codes [][]int32 // dictionary codes per group column, full-table
+	codec *pattern.Codec
 }
 
-// newVecPlan derives the key representation: per-attribute field widths from
-// the dictionary cardinalities via pattern.NewCodec (the width-derivation
-// trick of the packed-pattern fast path), falling back to string keys when
-// the summed widths overflow one word.
-func newVecPlan(p *execPlan, forceStringKeys bool) *vecPlan {
+// newVecPlan resolves the group columns' dictionary codes and derives the
+// key codec from their cardinalities.
+func newVecPlan(p *execPlan) *vecPlan {
 	m := len(p.groupCols)
 	vp := &vecPlan{execPlan: p, codes: make([][]int32, m)}
 	cards := make([]int, m)
@@ -64,18 +56,7 @@ func newVecPlan(p *execPlan, forceStringKeys bool) *vecPlan {
 		vp.codes[j] = d.Codes
 		cards[j] = d.Card
 	}
-	if forceStringKeys {
-		return vp
-	}
-	codec, ok := pattern.NewCodec(cards)
-	if !ok {
-		return vp
-	}
-	vp.packed = true
-	vp.shifts = make([]uint, m)
-	for j := range vp.shifts {
-		vp.shifts[j] = uint(bits.TrailingZeros64(codec.Field(j)))
-	}
+	vp.codec = pattern.NewCodec(cards)
 	return vp
 }
 
@@ -257,66 +238,18 @@ func filterStrSel(vals []string, eq bool, lit string, sel []int32) []int32 {
 
 // ---- morsel-local state ----
 
-// localTableSize is the next power of two above morselRows: a morsel has at
-// most morselRows distinct groups, keeping the local table's load below 50%.
-const localTableSize = 8192
-
-const localShift = 64 - 13 // 13 = log2(localTableSize)
-
-// localTable maps packed keys to morsel-local group ids: fixed-size open
-// addressing with epoch-stamped slots, so reset between morsels is one
-// counter bump instead of a 128 KiB clear.
-type localTable struct {
-	entries []localEntry
-	epoch   uint32
-}
-
-type localEntry struct {
-	key   uint64
-	id    int32
-	epoch uint32
-}
-
-func (t *localTable) reset() {
-	if t.entries == nil {
-		t.entries = make([]localEntry, localTableSize)
-	}
-	t.epoch++
-	if t.epoch == 0 { // wrapped: stale epochs could alias, start clean
-		clear(t.entries)
-		t.epoch = 1
-	}
-}
-
-func (t *localTable) getOrPut(key uint64, id int32) (int32, bool) {
-	for i := (key * fibHash) >> localShift; ; i = (i + 1) & (localTableSize - 1) {
-		e := &t.entries[i]
-		if e.epoch != t.epoch {
-			e.key, e.id, e.epoch = key, id, t.epoch
-			return id, true
-		}
-		if e.key == key {
-			return e.id, false
-		}
-	}
-}
-
 // morselBuf holds one morsel's vectorized state, pooled across morsels and
 // Execute calls.
 type morselBuf struct {
 	sel      []int32   // selected row indexes, ascending
-	keys     []uint64  // packed group key per selected row
+	keys     []uint64  // packed group key per selected row, Words() words each
 	localOf  []int32   // morsel-local group id per selected row
 	aggVals  []float64 // gathered aggregate-column values per selected row
 	havVals  [][]float64
 	firstRow []int32 // first selected row per local group
 
-	groupKeys  []uint64 // local groups in first-seen order (packed path)
-	groupSKeys []string // local groups in first-seen order (fallback path)
-
-	table  localTable
-	stable map[string]int32 // fallback-path local table
-	kbuf   []byte           // fallback-path key scratch
+	table     pattern.Table // packed key -> morsel-local group id
+	groupKeys []uint64      // local groups' keys in first-seen order
 }
 
 var bufPool = sync.Pool{New: func() any { return new(morselBuf) }}
@@ -325,9 +258,8 @@ var bufPool = sync.Pool{New: func() any { return new(morselBuf) }}
 // overwritten by the next processMorsel and keep their capacity.
 func (b *morselBuf) reset() {
 	b.sel = b.sel[:0]
-	b.groupKeys = b.groupKeys[:0]
-	b.groupSKeys = b.groupSKeys[:0]
 	b.firstRow = b.firstRow[:0]
+	b.groupKeys = b.groupKeys[:0]
 }
 
 func sizedI32(s []int32, n int) []int32 {
@@ -360,56 +292,25 @@ func (vp *vecPlan) processMorsel(b *morselBuf, lo, hi int32) {
 	n := len(b.sel)
 	b.localOf = sizedI32(b.localOf, n)
 
-	if vp.packed {
-		// Key build, column at a time: or-in each attribute's dictionary
-		// code at its field offset. Codes never collide with the codec's
-		// Star sentinel, so packing is injective.
-		b.keys = sizedU64(b.keys, n)
-		for j, codes := range vp.codes {
-			sh := vp.shifts[j]
-			if j == 0 {
-				for i, r := range b.sel {
-					b.keys[i] = uint64(uint32(codes[r])) << sh
-				}
-			} else {
-				for i, r := range b.sel {
-					b.keys[i] |= uint64(uint32(codes[r])) << sh
-				}
+	// Key build, column at a time: or-in each attribute's dictionary code at
+	// its field. Codes never collide with the codec's Star sentinel, so
+	// packing is injective.
+	w := vp.codec.Words()
+	b.keys = sizedU64(b.keys, n*w)
+	clear(b.keys)
+	for j, codes := range vp.codes {
+		vp.codec.PackColumn(b.keys, j, codes, b.sel)
+	}
+	// A morsel has at most morselRows groups, so the local table never
+	// regrows.
+	b.table.Reset(w, morselRows)
+	b.table.InsertAll(b.keys, b.localOf)
+	for i, id := range b.localOf {
+		if int(id) == len(b.firstRow) {
+			b.firstRow = append(b.firstRow, b.sel[i])
+			for _, k := range b.keys[i*w : (i+1)*w] {
+				b.groupKeys = append(b.groupKeys, k)
 			}
-		}
-		b.table.reset()
-		for i, key := range b.keys {
-			id, isNew := b.table.getOrPut(key, int32(len(b.groupKeys)))
-			if isNew {
-				b.groupKeys = append(b.groupKeys, key)
-				b.firstRow = append(b.firstRow, b.sel[i])
-			}
-			b.localOf[i] = id
-		}
-	} else {
-		// Fallback: the codes of each group column as 4 little-endian bytes,
-		// concatenated — injective like the packed key, just not one word.
-		if b.stable == nil {
-			b.stable = make(map[string]int32, 64)
-		} else {
-			clear(b.stable)
-		}
-		for i, r := range b.sel {
-			kb := b.kbuf[:0]
-			for _, codes := range vp.codes {
-				c := uint32(codes[r])
-				kb = append(kb, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
-			}
-			b.kbuf = kb
-			id, ok := b.stable[string(kb)]
-			if !ok {
-				id = int32(len(b.groupSKeys))
-				key := string(kb)
-				b.stable[key] = id
-				b.groupSKeys = append(b.groupSKeys, key)
-				b.firstRow = append(b.firstRow, r)
-			}
-			b.localOf[i] = id
 		}
 	}
 
@@ -448,17 +349,11 @@ func gather(c *relation.Column, sel []int32, out []float64) {
 
 // ---- global group table and deterministic merge ----
 
-// groupTable is the merge-side aggregation state: an open-addressing
-// Fibonacci-hashed table (modeled on lattice.packedMap, epoch-stamped for
-// O(1) reuse) from packed keys to dense group ids, plus columnar per-group
-// accumulators. Single-writer: only the merge goroutine touches it.
+// groupTable is the merge-side aggregation state: a key table from packed
+// keys to dense group ids, plus columnar per-group accumulators.
+// Single-writer: only the merge goroutine touches it.
 type groupTable struct {
-	entries []gtEntry
-	shift   uint
-	epoch   uint32
-	n       int // live entries, for the load-factor check
-
-	smap map[string]int32 // fallback-path key table
+	keys pattern.Table
 
 	firstRow []int32
 	cnt      []int64
@@ -471,12 +366,6 @@ type groupTable struct {
 	hmax     [][]float64
 
 	remap []int32 // per-morsel local-to-global group id scratch
-}
-
-type gtEntry struct {
-	key   uint64
-	id    int32
-	epoch uint32
 }
 
 var tablePool = sync.Pool{New: func() any { return new(groupTable) }}
@@ -495,26 +384,13 @@ func (t *groupTable) reset() {
 		t.hmax[i] = t.hmax[i][:0]
 	}
 	t.remap = t.remap[:0]
-	t.n = 0
 }
 
-// resetFor readies a pooled table for a query with nh HAVING conjuncts.
-func (t *groupTable) resetFor(nh int) {
+// resetFor readies a pooled table for a query with the given key width and
+// nh HAVING conjuncts.
+func (t *groupTable) resetFor(words, nh int) {
 	t.reset()
-	if t.entries == nil {
-		t.entries = make([]gtEntry, 1024)
-		t.shift = 64 - 10
-	}
-	t.epoch++
-	if t.epoch == 0 {
-		clear(t.entries)
-		t.epoch = 1
-	}
-	if t.smap == nil {
-		t.smap = make(map[string]int32, 64)
-	} else {
-		clear(t.smap)
-	}
+	t.keys.Reset(words, 512)
 	for cap(t.hcnt) < nh {
 		t.hcnt = append(t.hcnt[:cap(t.hcnt)], nil)
 		t.hsum = append(t.hsum[:cap(t.hsum)], nil)
@@ -530,41 +406,6 @@ func (t *groupTable) resetFor(nh int) {
 		t.hsum[i] = t.hsum[i][:0]
 		t.hmin[i] = t.hmin[i][:0]
 		t.hmax[i] = t.hmax[i][:0]
-	}
-}
-
-func (t *groupTable) getOrPut(key uint64, id int32) (int32, bool) {
-	if (t.n+1)*4 >= len(t.entries)*3 {
-		t.grow()
-	}
-	mask := uint64(len(t.entries) - 1)
-	for i := (key * fibHash) >> t.shift; ; i = (i + 1) & mask {
-		e := &t.entries[i]
-		if e.epoch != t.epoch {
-			e.key, e.id, e.epoch = key, id, t.epoch
-			t.n++
-			return id, true
-		}
-		if e.key == key {
-			return e.id, false
-		}
-	}
-}
-
-func (t *groupTable) grow() {
-	old := t.entries
-	t.entries = make([]gtEntry, 2*len(old))
-	t.shift--
-	mask := uint64(len(t.entries) - 1)
-	for _, e := range old {
-		if e.epoch != t.epoch {
-			continue
-		}
-		j := (e.key * fibHash) >> t.shift
-		for t.entries[j].epoch == t.epoch {
-			j = (j + 1) & mask
-		}
-		t.entries[j] = e
 	}
 }
 
@@ -589,24 +430,11 @@ func (t *groupTable) addGroup(firstRow int32) {
 // global group ids are assigned in first-seen order and every float
 // accumulates row by row.
 func (t *groupTable) mergeMorsel(vp *vecPlan, b *morselBuf) {
-	t.remap = t.remap[:0]
-	if vp.packed {
-		for li, key := range b.groupKeys {
-			gid, isNew := t.getOrPut(key, int32(len(t.firstRow)))
-			if isNew {
-				t.addGroup(b.firstRow[li])
-			}
-			t.remap = append(t.remap, gid)
-		}
-	} else {
-		for li, key := range b.groupSKeys {
-			gid, ok := t.smap[key]
-			if !ok {
-				gid = int32(len(t.firstRow))
-				t.smap[key] = gid
-				t.addGroup(b.firstRow[li])
-			}
-			t.remap = append(t.remap, gid)
+	t.remap = sizedI32(t.remap, len(b.firstRow))
+	t.keys.InsertAll(b.groupKeys, t.remap)
+	for li, gid := range t.remap {
+		if int(gid) == len(t.firstRow) {
+			t.addGroup(b.firstRow[li])
 		}
 	}
 	hasAgg := vp.aggCol != nil
@@ -675,9 +503,9 @@ func (t *groupTable) finalizeResult(vp *vecPlan) *Result {
 // out and back in around the actual run so the table is returned exactly
 // once on every path (success or cancellation).
 func executeVec(p *execPlan, cfg execConfig) (*Result, error) {
-	vp := newVecPlan(p, cfg.stringKeys)
+	vp := newVecPlan(p)
 	t := tablePool.Get().(*groupTable)
-	t.resetFor(len(vp.havingCols))
+	t.resetFor(vp.codec.Words(), len(vp.havingCols))
 	res, err := vp.run(t, cfg)
 	t.reset()
 	tablePool.Put(t)

@@ -38,8 +38,8 @@ func assertBitIdentical(t *testing.T, label string, want, got *Result) {
 }
 
 // execGrid runs sql through the reference executor and through the
-// vectorized one at worker counts 1, 2, and 8, on both key paths, asserting
-// every combination reproduces the reference bit for bit.
+// vectorized one at worker counts 1, 2, and 8, asserting every combination
+// reproduces the reference bit for bit.
 func execGrid(t *testing.T, cat Catalog, sql string) {
 	t.Helper()
 	want, err := ExecuteSQL(cat, sql, ExecReference())
@@ -47,17 +47,11 @@ func execGrid(t *testing.T, cat Catalog, sql string) {
 		t.Fatalf("reference: %v (query %s)", err, sql)
 	}
 	for _, par := range []int{1, 2, 8} {
-		for _, strKeys := range []bool{false, true} {
-			opts := []ExecOption{ExecParallelism(par)}
-			if strKeys {
-				opts = append(opts, ExecStringKeys())
-			}
-			got, err := ExecuteSQL(cat, sql, opts...)
-			if err != nil {
-				t.Fatalf("vectorized par=%d strKeys=%v: %v (query %s)", par, strKeys, err, sql)
-			}
-			assertBitIdentical(t, fmt.Sprintf("par=%d strKeys=%v query=%s", par, strKeys, sql), want, got)
+		got, err := ExecuteSQL(cat, sql, ExecParallelism(par))
+		if err != nil {
+			t.Fatalf("vectorized par=%d: %v (query %s)", par, err, sql)
 		}
+		assertBitIdentical(t, fmt.Sprintf("par=%d query=%s", par, sql), want, got)
 	}
 }
 
@@ -65,7 +59,7 @@ func execGrid(t *testing.T, cat Catalog, sql string) {
 // executor's edge cases: NUL bytes inside group values, NaN and ±0 in both
 // group and aggregate columns, int values past 2^53 (lossy float conversion
 // in predicates), and five row-id-like columns whose combined dictionary
-// widths overflow 64 bits (forcing the automatic string-key fallback).
+// widths overflow 64 bits (forcing multi-word group keys).
 func syntheticCatalog(rows int) catalog {
 	rng := rand.New(rand.NewSource(42))
 	a := make([]string, rows)  // small vocabulary, some values contain NUL
@@ -136,8 +130,12 @@ func TestExecuteVecMatchesReferenceSynthetic(t *testing.T) {
 		"select a, b, g, avg(x) as val from t group by a, b, g having count(*) > 10 and max(x) >= 1 order by val desc limit 7",
 		"select a, avg(x) as val from t group by a limit 3",
 		// Five near-unique group columns: dictionary widths overflow one
-		// word, so even without ExecStringKeys this exercises the fallback.
+		// word, so the group keys take several.
 		"select u0, u1, u2, u3, u4, sum(x) as val from t group by u0, u1, u2, u3, u4 order by val desc limit 20",
+		// More group columns than pattern.MaxAttrs (repeats allowed): the
+		// key codec is not bounded by the lattice's attribute limit.
+		"select a, b, g, u0, u1, u2, u3, u4, a, b, g, u0, u1, u2, u3, u4, big, count(*) as c from t " +
+			"group by a, b, g, u0, u1, u2, u3, u4, a, b, g, u0, u1, u2, u3, u4, big order by c desc limit 20",
 	}
 	for _, sql := range queries {
 		execGrid(t, cat, sql)
@@ -170,7 +168,6 @@ func TestExecuteGroupKeyNulSeparator(t *testing.T) {
 	for _, opts := range [][]ExecOption{
 		{ExecReference()},
 		{ExecParallelism(1)},
-		{ExecParallelism(1), ExecStringKeys()},
 	} {
 		res, err := ExecuteSQL(cat, sql, opts...)
 		if err != nil {

@@ -8,21 +8,20 @@ import (
 )
 
 // FigScale measures cluster-space build throughput as the answer-set size N
-// grows: one BuildIndexStats per (N, worker count), with the per-phase
-// breakdown (sequential cluster generation, the parallelized tuple→cluster
-// coverage mapping, deterministic arena assembly) and the probe throughput
-// of the mapping phase. The slice-keyed single-worker build of each N is the
-// baseline, so the speedup column shows the combined effect of the packed
-// uint64 keys and the phase-2 fan-out; every build is verified bit-identical
-// by the lattice and summarize equivalence tests, so this table is purely
-// about throughput.
+// grows: one BuildIndexStats per (N, worker count), with the packed key
+// width, the per-phase breakdown (sequential cluster generation, the
+// parallelized tuple→cluster coverage mapping, deterministic arena assembly)
+// and the probe throughput of the mapping phase. The 1-worker build of each
+// N is the baseline, so the speedup column shows the effect of the phase-2
+// fan-out; every build is verified bit-identical by the lattice and
+// summarize equivalence tests, so this table is purely about throughput.
 func FigScale(e *Env) ([]Table, error) {
 	t := Table{
 		ID:    "figscale",
 		Title: "Cluster-space build (ms) vs N and workers; L=500",
-		Header: []string{"N", "clusters", "workers", "keys", "generate ms", "map ms",
+		Header: []string{"N", "clusters", "workers", "key words", "generate ms", "map ms",
 			"assemble ms", "total ms", "speedup", "probes/ms"},
-		Notes: fmt.Sprintf("GOMAXPROCS = %d; speedup is vs the slice-keyed 1-worker build of the same N; "+
+		Notes: fmt.Sprintf("GOMAXPROCS = %d; speedup is vs the 1-worker build of the same N; "+
 			"probes/ms covers the mapping phase only", runtime.GOMAXPROCS(0)),
 	}
 	workerCounts := []int{1, 2, 4, 8}
@@ -39,16 +38,7 @@ func FigScale(e *Env) ([]Table, error) {
 		if space.N() < L {
 			L = space.N()
 		}
-		t0 := startTimer()
-		_, base, err := lattice.BuildIndexStats(space, L, true,
-			lattice.WithSliceKeys(), lattice.BuildParallelism(1))
-		if err != nil {
-			return nil, err
-		}
-		baseMs := t0.ms()
-		t.Add(space.N(), base.Generated, base.Workers, "slice",
-			fms(base.GenerateMs), fms(base.MapMs), fms(base.AssembleMs),
-			fms(baseMs), "1.00x", probesPerMs(base))
+		var baseMs float64
 		for _, workers := range workerCounts {
 			t1 := startTimer()
 			_, st, err := lattice.BuildIndexStats(space, L, true, lattice.BuildParallelism(workers))
@@ -56,11 +46,10 @@ func FigScale(e *Env) ([]Table, error) {
 				return nil, err
 			}
 			ms := t1.ms()
-			keys := "packed"
-			if !st.PackedKeys {
-				keys = "slice"
+			if workers == 1 {
+				baseMs = ms
 			}
-			t.Add(space.N(), st.Generated, st.Workers, keys,
+			t.Add(space.N(), st.Generated, st.Workers, st.KeyWords,
 				fms(st.GenerateMs), fms(st.MapMs), fms(st.AssembleMs),
 				fms(ms), fmt.Sprintf("%.2fx", baseMs/ms), probesPerMs(st))
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"qagview/internal/pattern"
+	"qagview/internal/relation"
 )
 
 // assertIndexBitIdentical compares every observable of two indexes: cluster
@@ -48,60 +49,85 @@ func assertIndexBitIdentical(t *testing.T, label string, a, b *Index) {
 	}
 }
 
-// TestBuildIndexPackedMatchesSlice pins the packed fast path against the
-// slice-keyed fallback: the same space must build a bit-identical index
-// either way (the packed representation is an encoding change, not a
-// semantic one).
-func TestBuildIndexPackedMatchesSlice(t *testing.T) {
+// padSpace returns s with every dictionary padded by unused values up to
+// card entries: tuples, ids and values are unchanged, only the packed field
+// widths grow, so the same answer set is keyed with more words.
+func padSpace(s *Space, card int) *Space {
+	dicts := make([]*relation.Dict, len(s.Dicts))
+	for j, d := range s.Dicts {
+		dicts[j] = d.Clone()
+		for i := dicts[j].Len(); i < card; i++ {
+			dicts[j].ID(fmt.Sprintf("pad%d_%d", j, i))
+		}
+	}
+	return &Space{Attrs: s.Attrs, Dicts: dicts, Tuples: s.Tuples, Vals: s.Vals}
+}
+
+// wideSpaces returns s and its two-word padding: the pair every key-width
+// equivalence test runs over.
+func wideSpaces(t *testing.T, s *Space) []*Space {
+	t.Helper()
+	// Fields of 64/m + 1 bits: the m of them overflow one word.
+	wide := padSpace(s, 1<<(64/s.M()))
+	if w := spaceCodec(wide).Words(); w < 2 {
+		t.Fatalf("padded space keys in %d word(s), want at least 2", w)
+	}
+	if w := spaceCodec(s).Words(); w != 1 {
+		t.Fatalf("fixture space keys in %d words, want 1", w)
+	}
+	return []*Space{s, wide}
+}
+
+// TestBuildIndexOneWordMatchesTwoWords pins the key width out of the
+// output: the same space built at one key word and again with its
+// dictionaries padded to two words must give bit-identical indexes (the key
+// width is an encoding change, not a semantic one).
+func TestBuildIndexOneWordMatchesTwoWords(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		s := randomSpace(t, 40+seed, 150, 5, 4)
-		packed, pstats, err := BuildIndexStats(s, 25, true)
+		spaces := wideSpaces(t, s)
+		one, ostats, err := BuildIndexStats(spaces[0], 25, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !pstats.PackedKeys || !packed.PackedKeys() {
-			t.Fatal("packed fast path should engage on a small-domain space")
-		}
-		slice, sstats, err := BuildIndexStats(s, 25, true, WithSliceKeys())
+		two, tstats, err := BuildIndexStats(spaces[1], 25, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sstats.PackedKeys || slice.PackedKeys() {
-			t.Fatal("WithSliceKeys should force the fallback")
+		if ostats.KeyWords != 1 || tstats.KeyWords != 2 {
+			t.Fatalf("key words %d and %d, want 1 and 2", ostats.KeyWords, tstats.KeyWords)
 		}
-		if pstats.MappingOps != sstats.MappingOps || pstats.Generated != sstats.Generated {
-			t.Fatalf("work counters differ: %+v vs %+v", pstats, sstats)
+		if ostats.MappingOps != tstats.MappingOps || ostats.Generated != tstats.Generated {
+			t.Fatalf("work counters differ: %+v vs %+v", ostats, tstats)
 		}
-		assertIndexBitIdentical(t, fmt.Sprintf("seed%d", seed), packed, slice)
+		assertIndexBitIdentical(t, fmt.Sprintf("seed%d", seed), one, two)
 	}
 }
 
 // TestBuildIndexParallelismDeterministic pins the parallel phase-2 build:
-// every worker count, on both key representations, must produce the
-// sequential index bit for bit.
+// every worker count, at one and two key words, must produce the sequential
+// index bit for bit.
 func TestBuildIndexParallelismDeterministic(t *testing.T) {
-	s := randomSpace(t, 50, 300, 5, 3)
-	for _, keyOpts := range [][]BuildOption{nil, {WithSliceKeys()}} {
-		base, err := BuildIndex(s, 40, append([]BuildOption{BuildParallelism(1)}, keyOpts...)...)
+	for _, s := range wideSpaces(t, randomSpace(t, 50, 300, 5, 3)) {
+		base, err := BuildIndex(s, 40, BuildParallelism(1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, par := range []int{2, 3, 4, 8, 1000} {
-			ix, err := BuildIndex(s, 40, append([]BuildOption{BuildParallelism(par)}, keyOpts...)...)
+			ix, err := BuildIndex(s, 40, BuildParallelism(par))
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertIndexBitIdentical(t, fmt.Sprintf("packed=%v/par=%d", base.PackedKeys(), par), base, ix)
+			assertIndexBitIdentical(t, fmt.Sprintf("words=%d/par=%d", base.codec.Words(), par), base, ix)
 		}
 	}
 }
 
 // TestBuildIndexIdOpsMatchPatternOps: the id-based Distance/Covers accessors
-// must agree with the slice pattern algebra on both representations.
+// must agree with the slice pattern algebra at one and two key words.
 func TestBuildIndexIdOpsMatchPatternOps(t *testing.T) {
-	s := randomSpace(t, 51, 80, 4, 3)
-	for _, opts := range [][]BuildOption{nil, {WithSliceKeys()}} {
-		ix, err := BuildIndex(s, 15, opts...)
+	for _, s := range wideSpaces(t, randomSpace(t, 51, 80, 4, 3)) {
+		ix, err := BuildIndex(s, 15)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,10 +137,10 @@ func TestBuildIndexIdOpsMatchPatternOps(t *testing.T) {
 			b := int32(rng.Intn(ix.NumClusters()))
 			pa, pb := ix.Clusters[a].Pat, ix.Clusters[b].Pat
 			if got, want := ix.Distance(a, b), pattern.Distance(pa, pb); got != want {
-				t.Fatalf("packed=%v Distance(%v, %v) = %d, want %d", ix.PackedKeys(), pa, pb, got, want)
+				t.Fatalf("words=%d Distance(%v, %v) = %d, want %d", ix.codec.Words(), pa, pb, got, want)
 			}
 			if got, want := ix.Covers(a, b), pa.Covers(pb); got != want {
-				t.Fatalf("packed=%v Covers(%v, %v) = %v, want %v", ix.PackedKeys(), pa, pb, got, want)
+				t.Fatalf("words=%d Covers(%v, %v) = %v, want %v", ix.codec.Words(), pa, pb, got, want)
 			}
 		}
 	}

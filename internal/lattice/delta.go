@@ -70,13 +70,10 @@ type DeltaStats struct {
 	// TouchedClusters counts clusters whose coverage list or value sum was
 	// recomputed.
 	TouchedClusters int
-	// Repacked reports that the packed uint64 keys were re-derived (a new
+	// Repacked reports that the packed keys were re-derived (a new
 	// dictionary id overflowed its bit field, or the top-L churn re-ran
 	// generation) instead of shared with the previous index.
 	Repacked bool
-	// SliceKeys reports that the maintained index runs on the string-keyed
-	// slice fallback (widths exceed one word, or the build forced it).
-	SliceKeys bool
 }
 
 // ApplyDelta applies a batch of appends and deletes, returning a new Index
@@ -358,51 +355,37 @@ func mergeRemapped(arena, oldCov, remap, adds []int32, monotonic bool, scratch *
 func (ix *Index) rebaseFast(nsp *Space, remap, appends, deletes []int32, monotonic bool, stats *DeltaStats) (*Index, error) {
 	nc := len(ix.Clusters)
 	nix := &Index{
-		Space:       nsp,
-		L:           ix.L,
-		Clusters:    append([]Cluster(nil), ix.Clusters...),
-		singleton:   ix.singleton, // same ranks, same ids
-		allStar:     ix.allStar,
-		sliceForced: ix.sliceForced,
+		Space:     nsp,
+		L:         ix.L,
+		Clusters:  append([]Cluster(nil), ix.Clusters...),
+		singleton: ix.singleton, // same ranks, same ids
+		allStar:   ix.allStar,
+		codec:     ix.codec,
+		table:     ix.table,
+		keys:      ix.keys,
 	}
 
-	// Key representation: shared with the old index unless a newly interned
+	// Key layout: shared with the old index unless a newly interned
 	// dictionary id overflowed its packed bit field, in which case the codec
-	// is re-derived from the grown cardinalities (or, past 64 bits, the index
-	// falls back to slice keys).
-	if ix.codec != nil {
-		overflow := false
-		for j := 0; j < nsp.M(); j++ {
-			if !ix.codec.CardFits(j, nsp.Dicts[j].Len()) {
-				overflow = true
-				break
-			}
+	// is re-derived from the grown cardinalities (possibly with more words)
+	// and every cluster is re-keyed under the same id.
+	for j := 0; j < nsp.M(); j++ {
+		if !ix.codec.CardFits(j, nsp.Dicts[j].Len()) {
+			stats.Repacked = true
+			break
 		}
-		if !overflow {
-			nix.codec, nix.packed, nix.byPacked = ix.codec, ix.packed, ix.byPacked
-		} else {
-			cards := make([]int, nsp.M())
-			for j := range cards {
-				cards[j] = nsp.Dicts[j].Len()
-			}
-			if c2, ok := pattern.NewCodec(cards); ok {
-				stats.Repacked = true
-				nix.codec = c2
-				nix.packed = make([]uint64, nc)
-				nix.byPacked = newPackedMap(nc)
-				for id := range nix.Clusters {
-					key := c2.Pack(nix.Clusters[id].Pat)
-					nix.packed[id] = key
-					nix.byPacked.putNew(key, int32(id))
-				}
-			} else {
-				rebuildByKey(nix)
-			}
-		}
-	} else {
-		nix.byKey = ix.byKey // cluster set unchanged: share the table
 	}
-	stats.SliceKeys = nix.codec == nil
+	if stats.Repacked {
+		nix.codec = spaceCodec(nsp)
+		w := nix.codec.Words()
+		nix.table = pattern.NewTable(w, nc)
+		nix.keys = make([]uint64, nc*w)
+		for id := range nix.Clusters {
+			key := nix.keys[id*w : (id+1)*w]
+			nix.codec.Pack(nix.Clusters[id].Pat, key)
+			nix.table.Insert(key, int32(id))
+		}
+	}
 
 	// Appended coverage: probe each appended tuple's generalizations against
 	// the cluster table and bucket the hits per cluster.
@@ -465,9 +448,8 @@ func (ix *Index) rebaseFast(nsp *Space, remap, appends, deletes []int32, monoton
 // compute theirs by filtering the coverage of their smallest lattice parent —
 // never by scanning all N tuples.
 func (ix *Index) rebaseSlow(nsp *Space, remap, appends, deletes []int32, monotonic bool, stats *DeltaStats) (*Index, error) {
-	nix := generate(nsp, ix.L, ix.sliceForced)
-	stats.Repacked = nix.codec != nil
-	stats.SliceKeys = nix.codec == nil
+	nix := generate(nsp, ix.L)
+	stats.Repacked = true
 	nc := len(nix.Clusters)
 
 	// Match the regenerated clusters against the old set by pattern. Patterns
@@ -605,65 +587,28 @@ func (ix *Index) rebaseSlow(nsp *Space, remap, appends, deletes []int32, monoton
 // parentID returns the id of the cluster whose pattern is c's pattern with
 // attribute j starred (c's lattice parent through j).
 func (ix *Index) parentID(id int32, j int) (int32, bool) {
-	if ix.codec != nil {
-		return ix.byPacked.get(ix.packed[id] | ix.codec.Field(j))
-	}
-	c := &ix.Clusters[id]
-	var buf [4 * pattern.MaxAttrs]byte
-	save := c.Pat[j]
-	c.Pat[j] = pattern.Star
-	key := c.Pat.AppendKey(buf[:0])
-	c.Pat[j] = save
-	pid, ok := ix.byKey[string(key)]
-	return pid, ok
+	var buf [maxKeyWords]uint64
+	key := buf[:copy(buf[:], ix.key(id))]
+	ix.codec.Star(key, j)
+	return ix.table.Find(key)
 }
 
 // appendCoveringIDs appends the ids of the clusters covering the concrete
 // tuple t — exactly t's generated generalizations — to dst, reusing keyBuf
-// for the packed enumeration. The enumeration order is the shared
-// subset-mask order; each cluster appears at most once.
+// for the packed enumeration. t must be encoded under ix's dictionaries (a
+// tuple of ix's space, or an appended tuple of the space ix was derived
+// for). The enumeration order is the shared subset-mask order; each cluster
+// appears at most once.
 func (ix *Index) appendCoveringIDs(t pattern.Pattern, keyBuf []uint64, dst []int32) ([]uint64, []int32) {
-	if ix.codec != nil {
-		if base, ok := ix.codec.PackChecked(t); ok {
-			keyBuf = ix.codec.AppendAncestors(base, keyBuf[:0])
-			for _, key := range keyBuf {
-				if id, ok := ix.byPacked.get(key); ok {
-					dst = append(dst, id)
-				}
-			}
-			return keyBuf, dst
-		}
-		// The tuple itself does not fit the codec (a value beyond every
-		// field, possible only for foreign tuples); generalizations starring
-		// the offending attribute may still exist, so enumerate slice-wise.
-		pattern.Ancestors(t, func(p pattern.Pattern) {
-			if key, ok := ix.codec.PackChecked(p); ok {
-				if id, found := ix.byPacked.get(key); found {
-					dst = append(dst, id)
-				}
-			}
-		})
-		return keyBuf, dst
-	}
-	var buf [4 * pattern.MaxAttrs]byte
-	pattern.Ancestors(t, func(p pattern.Pattern) {
-		if id, ok := ix.byKey[string(p.AppendKey(buf[:0]))]; ok {
+	var buf [maxKeyWords]uint64
+	w := ix.codec.Words()
+	base := buf[:w]
+	ix.codec.Pack(t, base)
+	keyBuf = ix.codec.AppendAncestors(base, keyBuf[:0])
+	for i := 0; i < len(keyBuf); i += w {
+		if id, ok := ix.table.Find(keyBuf[i : i+w]); ok {
 			dst = append(dst, id)
 		}
-	})
-	return keyBuf, dst
-}
-
-// rebuildByKey drops the packed representation and rebuilds the string-keyed
-// table from the cluster patterns (the slice-key fallback of incremental
-// maintenance when re-derived widths exceed one word).
-func rebuildByKey(nix *Index) {
-	nix.codec = nil
-	nix.packed = nil
-	nix.byPacked = nil
-	nix.byKey = make(map[string]int32, len(nix.Clusters))
-	var buf [4 * pattern.MaxAttrs]byte
-	for id := range nix.Clusters {
-		nix.byKey[string(nix.Clusters[id].Pat.AppendKey(buf[:0]))] = int32(id)
 	}
+	return keyBuf, dst
 }

@@ -96,7 +96,7 @@ func assertIndexEquivalent(t *testing.T, label string, got, want *Index) {
 // applyAndCheck applies d to ix and asserts the result is bit-identical to a
 // from-scratch rebuild over the updated row list, returning the maintained
 // index and its stats for further chaining.
-func applyAndCheck(t *testing.T, label string, ix *Index, d Delta, opts ...BuildOption) (*Index, DeltaStats) {
+func applyAndCheck(t *testing.T, label string, ix *Index, d Delta) (*Index, DeltaStats) {
 	t.Helper()
 	rows, vals := applyToRows(renderAll(ix.Space), ix.Space.Vals, d)
 	nix, stats, err := ix.ApplyDelta(d)
@@ -107,7 +107,7 @@ func applyAndCheck(t *testing.T, label string, ix *Index, d Delta, opts ...Build
 	if err != nil {
 		t.Fatalf("%s: rebuild space: %v", label, err)
 	}
-	rebuilt, err := BuildIndex(rs, ix.L, opts...)
+	rebuilt, err := BuildIndex(rs, ix.L)
 	if err != nil {
 		t.Fatalf("%s: rebuild index: %v", label, err)
 	}
@@ -203,21 +203,17 @@ func TestApplyDeltaTopLChurn(t *testing.T) {
 
 // TestApplyDeltaChained applies a random mixed batch three times in a row,
 // comparing against the cumulative rebuild after every step — the regime a
-// live serving session exercises.
+// live serving session exercises — on the space's own one-word keys
+// ("packed") and on the same space padded to two key words ("wide").
 func TestApplyDeltaChained(t *testing.T) {
-	for _, sliceKeys := range []bool{false, true} {
-		var opts []BuildOption
-		name := "packed"
-		if sliceKeys {
-			opts = append(opts, WithSliceKeys())
-			name = "slice"
-		}
+	for i, s := range wideSpaces(t, randomSpace(t, 7, 90, 4, 3)) {
+		name := []string{"packed", "wide"}[i]
 		t.Run(name, func(t *testing.T) {
-			s := randomSpace(t, 7, 90, 4, 3)
-			ix, err := BuildIndex(s, 20, opts...)
+			ix, err := BuildIndex(s, 20)
 			if err != nil {
 				t.Fatal(err)
 			}
+			words := ix.codec.Words()
 			rng := rand.New(rand.NewSource(77))
 			for step := 0; step < 3; step++ {
 				var d Delta
@@ -233,9 +229,9 @@ func TestApplyDeltaChained(t *testing.T) {
 				for _, r := range rng.Perm(ix.Space.N())[:3] {
 					d.DeleteRanks = append(d.DeleteRanks, r)
 				}
-				ix, _ = applyAndCheck(t, fmt.Sprintf("%s/step%d", name, step), ix, d, opts...)
-				if sliceKeys && ix.PackedKeys() {
-					t.Fatal("forced slice keys must persist across deltas")
+				ix, _ = applyAndCheck(t, fmt.Sprintf("%s/step%d", name, step), ix, d)
+				if ix.codec.Words() < words {
+					t.Fatalf("step %d: maintained keys shrank from %d to %d words", step, words, ix.codec.Words())
 				}
 			}
 		})
@@ -268,18 +264,18 @@ func TestApplyDeltaCodecOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ix.PackedKeys() || ix.codec.CardFits(0, 4) {
-		t.Fatalf("fixture broken: want a packed index whose attribute 0 field is full at card 3")
+	if ix.codec.Words() != 1 || ix.codec.CardFits(0, 4) {
+		t.Fatalf("fixture broken: want a one-word index whose attribute 0 field is full at card 3")
 	}
 	d := Delta{
 		AppendRows: [][]string{{"a3", "b0", "c1"}}, // a3 is the overflowing 4th value
 		AppendVals: []float64{lowVal(ix, 0)},
 	}
 	nix, stats := applyAndCheck(t, "overflow", ix, d)
-	if !stats.FastPath || !stats.Repacked || stats.SliceKeys {
+	if !stats.FastPath || !stats.Repacked {
 		t.Fatalf("want fast-path re-pack, got %+v", stats)
 	}
-	if !nix.PackedKeys() {
+	if nix.codec.Words() != 1 {
 		t.Fatal("re-derived codec should still fit one word")
 	}
 	// The appended tuple must be covered under the re-derived codec.
@@ -288,12 +284,11 @@ func TestApplyDeltaCodecOverflow(t *testing.T) {
 	}
 }
 
-// TestApplyDeltaSliceFallback drives the overflow past 64 bits: with every
-// field already at capacity in a full word, one more value cannot re-pack
-// and the maintained index must fall back to slice keys — still
-// bit-identical to the rebuild (which independently derives its own, ghost-
-// value-free widths).
-func TestApplyDeltaSliceFallback(t *testing.T) {
+// TestApplyDeltaWordOverflow drives the overflow past 64 bits: with every
+// field already at capacity in a full word, one more value re-derives a
+// two-word codec — still bit-identical to the rebuild (which independently
+// derives its own, ghost-value-free widths).
+func TestApplyDeltaWordOverflow(t *testing.T) {
 	// 16 attributes with 15 values each need 4 bits per field = 64 bits
 	// total; growing any attribute to 16 values needs a 5-bit field = 65.
 	const m = 16
@@ -326,24 +321,24 @@ func TestApplyDeltaSliceFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ix.PackedKeys() {
-		t.Fatal("fixture broken: 16x4 bits should pack")
+	if ix.codec.Words() != 1 {
+		t.Fatal("fixture broken: 16x4 bits should pack into one word")
 	}
 	row := make([]string, m)
 	for j := range row {
 		row[j] = fmt.Sprintf("v%d_0", j)
 	}
-	row[3] = "v3_15" // the 16th value of attribute 3: 65 bits, no codec
+	row[3] = "v3_15" // the 16th value of attribute 3: 65 bits
 	d := Delta{AppendRows: [][]string{row}, AppendVals: []float64{lowVal(ix, 0)}}
-	nix, stats := applyAndCheck(t, "fallback", ix, d)
-	if !stats.FastPath || !stats.SliceKeys || stats.Repacked {
-		t.Fatalf("want fast-path slice fallback, got %+v", stats)
+	nix, stats := applyAndCheck(t, "overflow", ix, d)
+	if !stats.FastPath || !stats.Repacked {
+		t.Fatalf("want fast-path re-pack, got %+v", stats)
 	}
-	if nix.PackedKeys() {
-		t.Fatal("index must run on slice keys after the fallback")
+	if nix.codec.Words() != 2 {
+		t.Fatalf("index keys in %d words after the overflow, want 2", nix.codec.Words())
 	}
 	if nix.AllStar().Size() != nix.Space.N() {
-		t.Fatalf("all-star covers %d of %d tuples after fallback", nix.AllStar().Size(), nix.Space.N())
+		t.Fatalf("all-star covers %d of %d tuples after the overflow", nix.AllStar().Size(), nix.Space.N())
 	}
 }
 

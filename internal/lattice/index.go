@@ -45,12 +45,12 @@ func (c *Cluster) Avg() float64 {
 //
 // The cluster space is stored columnar: cluster records live in one dense
 // slice (no per-cluster heap objects), and all coverage lists share one
-// []int32 arena, with each Cluster.Cov a subslice of it. When the
-// per-attribute bit widths fit (see pattern.NewCodec), every cluster pattern
-// is additionally packed into a uint64 key: the by-pattern map is keyed on
-// integers instead of byte strings, and Distance/Covers/LCA between clusters
-// run word-parallel on the packed keys. Everything is immutable after
-// BuildIndex, so an Index may be shared freely across goroutines.
+// []int32 arena, with each Cluster.Cov a subslice of it. Every cluster
+// pattern is additionally packed into a key of one or more words (see
+// pattern.NewCodec): the by-pattern table is keyed on those words, and
+// Distance/Covers/LCA between clusters run word-parallel on them.
+// Everything is immutable after BuildIndex, so an Index may be shared freely
+// across goroutines.
 type Index struct {
 	// Space is the underlying answer space.
 	Space *Space
@@ -63,21 +63,15 @@ type Index struct {
 	// covArena backs every Cluster.Cov, laid out cluster by cluster.
 	covArena []int32
 
-	// codec packs patterns into uint64 keys; nil when the summed widths
-	// exceed 64 bits (or slice keys were forced), in which case byKey is the
-	// string-keyed fallback.
-	codec    *pattern.Codec
-	packed   []uint64 // per-cluster packed key, aligned with Clusters
-	byPacked *packedMap
-	byKey    map[string]int32
+	// codec packs patterns into keys of codec.Words() words; keys holds
+	// every cluster's key flat in id order, and table maps each key back to
+	// its cluster id.
+	codec *pattern.Codec
+	table *pattern.Table
+	keys  []uint64
 
 	singleton []int32 // rank -> cluster id of the concrete pattern, for ranks < L
 	allStar   int32
-
-	// sliceForced records that WithSliceKeys forced the fallback even though
-	// the packed widths may fit, so incremental rebuilds (Rebase) stay on the
-	// representation the index was built with.
-	sliceForced bool
 }
 
 // BuildStats reports the work done while building an index, for the
@@ -90,11 +84,8 @@ type BuildStats struct {
 	// it is N·2^m on the optimized path and |C|·N on the naive path,
 	// independent of the worker count.
 	MappingOps int
-	// PackedKeys reports whether the build ran on the packed uint64 fast
-	// path; false means the per-attribute widths exceeded 64 bits (or
-	// WithSliceKeys forced the fallback) and patterns were keyed as byte
-	// strings.
-	PackedKeys bool
+	// KeyWords is the number of 64-bit words in each packed cluster key.
+	KeyWords int
 	// Workers is the number of goroutines the phase-2 coverage mapping
 	// fanned out over (always 1 on the naive path).
 	Workers int
@@ -113,7 +104,6 @@ type BuildStats struct {
 // buildConfig collects BuildIndex options.
 type buildConfig struct {
 	parallelism int
-	sliceKeys   bool
 }
 
 func defaultBuildConfig() buildConfig {
@@ -130,13 +120,6 @@ type BuildOption func(*buildConfig)
 // lists, and value sums do not depend on the worker count.
 func BuildParallelism(n int) BuildOption {
 	return func(c *buildConfig) { c.parallelism = n }
-}
-
-// WithSliceKeys forces the string-keyed slice-pattern representation even
-// when the packed widths would fit, for ablation experiments and the
-// packed-vs-slice equivalence tests. Output is identical either way.
-func WithSliceKeys() BuildOption {
-	return func(c *buildConfig) { c.sliceKeys = true }
 }
 
 // BuildIndex builds the cluster space for the top-L tuples of s using the
@@ -187,94 +170,72 @@ type mapShard struct {
 
 // generate builds the index skeleton for (s, L): every cluster pattern
 // generalizing a top-L tuple, with ids assigned in first-seen enumeration
-// order (rank-major, subset-mask-minor — the order both key representations
-// share, see pattern.Codec.Ancestors), plus the key tables and the
-// singleton/all-star ids. Coverage is left empty; BuildIndex fills it with a
-// full phase-2 mapping pass, Rebase fills it incrementally from a previous
-// index. Keeping generation in one function is what guarantees an
-// incrementally maintained index assigns the same cluster ids as a from-
-// scratch rebuild.
-func generate(s *Space, L int, sliceKeys bool) *Index {
+// order (rank-major, subset-mask-minor, see pattern.Codec.AppendAncestors),
+// plus the key table and the singleton/all-star ids. The codec is derived
+// from the space's dictionary cardinalities. Coverage is left empty;
+// BuildIndex fills it with a full phase-2 mapping pass, Rebase fills it
+// incrementally from a previous index. Keeping generation in one function is
+// what guarantees an incrementally maintained index assigns the same
+// cluster ids as a from-scratch rebuild.
+func generate(s *Space, L int) *Index {
+	m := s.M()
 	ix := &Index{
-		Space:       s,
-		L:           L,
-		singleton:   make([]int32, L),
-		allStar:     -1,
-		sliceForced: sliceKeys,
+		Space:     s,
+		L:         L,
+		codec:     spaceCodec(s),
+		singleton: make([]int32, L),
 	}
-	if !sliceKeys {
-		cards := make([]int, s.M())
-		for j := range cards {
-			cards[j] = s.Dicts[j].Len()
-		}
-		// ok = false leaves codec nil: the widths do not fit one word and the
-		// build stays on the slice representation.
-		ix.codec, _ = pattern.NewCodec(cards)
-	}
-	if ix.codec != nil {
-		// Cluster count is unknown until the dedup runs; the hint trades one
-		// possible regrow against over-allocation on star-sparse spaces. The
-		// cap keeps wide schemas (the worst case L*2^m is astronomical at
-		// m = MaxAttrs) from reserving memory the dedup will never fill —
-		// the map and slices regrow fine past it.
-		hint := L * (1 << s.M()) / 4
-		if hint > 1<<20 {
-			hint = 1 << 20
-		}
-		ix.byPacked = newPackedMap(hint)
-		ix.Clusters = make([]Cluster, 0, hint)
-		ix.packed = make([]uint64, 0, hint)
-		// Cluster patterns are carved out of chunked []int32 arenas: one
-		// allocation per patArenaChunk patterns instead of one each, which
-		// cuts both allocation count and GC scan work for large spaces.
-		m := s.M()
-		var patArena []int32
-		keys := make([]uint64, 0, 1<<m)
-		for rank := 0; rank < L; rank++ {
-			base := ix.codec.Pack(s.Tuples[rank])
-			keys = ix.codec.AppendAncestors(base, keys[:0])
-			for _, key := range keys {
-				id := int32(len(ix.Clusters))
-				if _, inserted := ix.byPacked.getOrPut(key, id); !inserted {
-					continue
-				}
-				if len(patArena) < m {
-					patArena = make([]int32, patArenaChunk*m)
-				}
-				pat := pattern.Pattern(patArena[:m:m])
-				patArena = patArena[m:]
-				ix.codec.Unpack(key, pat)
-				ix.Clusters = append(ix.Clusters, Cluster{ID: id, Pat: pat})
-				ix.packed = append(ix.packed, key)
+	w := ix.codec.Words()
+	// Cluster count is unknown until the dedup runs; the hint trades one
+	// possible regrow against over-allocation on star-sparse spaces. The cap
+	// keeps wide schemas (the worst case L*2^m is astronomical at
+	// m = MaxAttrs) from reserving memory the dedup will never fill — the
+	// table and slices regrow fine past it.
+	hint := min(L*(1<<m)/4, 1<<20)
+	ix.table = pattern.NewTable(w, hint)
+	ix.Clusters = make([]Cluster, 0, hint)
+	ix.keys = make([]uint64, 0, hint*w)
+	// Cluster patterns are carved out of chunked []int32 arenas: one
+	// allocation per patArenaChunk patterns instead of one each, which cuts
+	// both allocation count and GC scan work for large spaces.
+	var patArena []int32
+	base := make([]uint64, w)
+	keys := make([]uint64, 0, (1<<m)*w)
+	ids := make([]int32, 1<<m)
+	for rank := 0; rank < L; rank++ {
+		ix.codec.Pack(s.Tuples[rank], base)
+		keys = ix.codec.AppendAncestors(base, keys[:0])
+		// New patterns get the next dense id, which is the next cluster id.
+		ix.table.InsertAll(keys, ids)
+		// The concrete pattern comes first in its own enumeration.
+		ix.singleton[rank] = ids[0]
+		for i, id := range ids {
+			if int(id) != len(ix.Clusters) {
+				continue
 			}
-			// The concrete pattern of each top tuple comes first in its own
-			// enumeration, so it is always generated by now.
-			ix.singleton[rank], _ = ix.byPacked.get(base)
+			if len(patArena) < m {
+				patArena = make([]int32, patArenaChunk*m)
+			}
+			pat := pattern.Pattern(patArena[:m:m])
+			patArena = patArena[m:]
+			key := keys[i*w : (i+1)*w]
+			ix.codec.Unpack(key, pat)
+			ix.Clusters = append(ix.Clusters, Cluster{ID: id, Pat: pat})
+			ix.keys = append(ix.keys, key...)
 		}
-		ix.allStar, _ = ix.byPacked.get(ix.codec.AllStar())
-	} else {
-		ix.byKey = make(map[string]int32)
-		scratch := make([]byte, 0, 4*s.M())
-		for rank := 0; rank < L; rank++ {
-			t := s.Tuples[rank]
-			pattern.Ancestors(t, func(p pattern.Pattern) {
-				scratch = p.AppendKey(scratch[:0])
-				if _, ok := ix.byKey[string(scratch)]; ok {
-					return
-				}
-				id := int32(len(ix.Clusters))
-				ix.byKey[string(scratch)] = id
-				ix.Clusters = append(ix.Clusters, Cluster{ID: id, Pat: p.Clone()})
-			})
-			ix.singleton[rank] = ix.byKey[t.Key()]
-		}
-		allStar := make(pattern.Pattern, s.M())
-		for i := range allStar {
-			allStar[i] = pattern.Star
-		}
-		ix.allStar = ix.byKey[allStar.Key()]
 	}
+	ix.allStar, _ = ix.table.Find(ix.codec.AllStar())
 	return ix
+}
+
+// spaceCodec derives the packed-key layout from s's dictionary
+// cardinalities.
+func spaceCodec(s *Space) *pattern.Codec {
+	cards := make([]int, s.M())
+	for j := range cards {
+		cards[j] = s.Dicts[j].Len()
+	}
+	return pattern.NewCodec(cards)
 }
 
 func buildIndex(s *Space, L int, optimized bool, opts []BuildOption) (*Index, BuildStats, error) {
@@ -290,8 +251,8 @@ func buildIndex(s *Space, L int, optimized bool, opts []BuildOption) (*Index, Bu
 		return nil, stats, fmt.Errorf("lattice: %d grouping attributes exceed the supported maximum of %d (pattern.MaxAttrs)", s.M(), pattern.MaxAttrs)
 	}
 	t0 := time.Now()
-	ix := generate(s, L, cfg.sliceKeys)
-	stats.PackedKeys = ix.codec != nil
+	ix := generate(s, L)
+	stats.KeyWords = ix.codec.Words()
 	stats.Generated = len(ix.Clusters)
 	stats.GenerateMs = msSince(t0)
 
@@ -403,7 +364,7 @@ func buildIndex(s *Space, L int, optimized bool, opts []BuildOption) (*Index, Bu
 }
 
 // probeShard runs the phase-2 probe for one tuple shard: every tuple's 2^m
-// generalizations against the generated cluster set. The generated maps are
+// generalizations against the generated cluster set. The key table is
 // immutable by now, so shards only share read-only state.
 func (ix *Index) probeShard(sh *mapShard) {
 	s := ix.Space
@@ -411,33 +372,22 @@ func (ix *Index) probeShard(sh *mapShard) {
 	// all-star cluster, top-L tuples hit all 2^m ancestors), so seed the
 	// buffer at coverage scale, not cluster-count scale.
 	sh.hits = make([]covHit, 0, 8*(sh.hi-sh.lo))
-	if ix.codec != nil {
-		keys := make([]uint64, 0, 1<<s.M())
-		for ti := sh.lo; ti < sh.hi; ti++ {
-			ti32 := int32(ti)
-			base := ix.codec.Pack(s.Tuples[ti])
-			keys = ix.codec.AppendAncestors(base, keys[:0])
-			sh.ops += len(keys)
-			for _, key := range keys {
-				if id, ok := ix.byPacked.get(key); ok {
-					sh.hits = append(sh.hits, covHit{cluster: id, tuple: ti32})
-					sh.counts[id]++
-				}
-			}
-		}
-		return
-	}
-	scratch := make([]byte, 0, 4*s.M())
+	w := ix.codec.Words()
+	base := make([]uint64, w)
+	keys := make([]uint64, 0, (1<<s.M())*w)
+	ids := make([]int32, 1<<s.M())
 	for ti := sh.lo; ti < sh.hi; ti++ {
 		ti32 := int32(ti)
-		pattern.Ancestors(s.Tuples[ti], func(p pattern.Pattern) {
-			sh.ops++
-			scratch = p.AppendKey(scratch[:0])
-			if id, ok := ix.byKey[string(scratch)]; ok {
+		ix.codec.Pack(s.Tuples[ti], base)
+		keys = ix.codec.AppendAncestors(base, keys[:0])
+		ix.table.FindAll(keys, ids)
+		sh.ops += len(ids)
+		for _, id := range ids {
+			if id >= 0 {
 				sh.hits = append(sh.hits, covHit{cluster: id, tuple: ti32})
 				sh.counts[id]++
 			}
-		})
+		}
 	}
 }
 
@@ -451,42 +401,39 @@ func (ix *Index) NumClusters() int { return len(ix.Clusters) }
 // Cluster returns the cluster with the given id.
 func (ix *Index) Cluster(id int32) *Cluster { return &ix.Clusters[id] }
 
-// PackedKeys reports whether the index runs on the packed uint64 fast path.
-func (ix *Index) PackedKeys() bool { return ix.codec != nil }
+// key returns the packed key of cluster id.
+func (ix *Index) key(id int32) []uint64 {
+	w := ix.codec.Words()
+	return ix.keys[int(id)*w : (int(id)+1)*w]
+}
 
 // Distance returns the cluster distance (Definition 3.1) between the
-// clusters with ids a and b, word-parallel on the packed keys when available.
+// clusters with ids a and b, word-parallel on the packed keys.
 func (ix *Index) Distance(a, b int32) int {
-	if ix.codec != nil {
-		return ix.codec.Distance(ix.packed[a], ix.packed[b])
-	}
-	return pattern.Distance(ix.Clusters[a].Pat, ix.Clusters[b].Pat)
+	return ix.codec.Distance(ix.key(a), ix.key(b))
 }
 
 // Covers reports whether the pattern of cluster a covers the pattern of
-// cluster b, word-parallel on the packed keys when available.
+// cluster b, word-parallel on the packed keys.
 func (ix *Index) Covers(a, b int32) bool {
-	if ix.codec != nil {
-		return ix.codec.Covers(ix.packed[a], ix.packed[b])
-	}
-	return ix.Clusters[a].Pat.Covers(ix.Clusters[b].Pat)
+	return ix.codec.Covers(ix.key(a), ix.key(b))
 }
+
+// maxKeyWords bounds the words of a cluster key: at most MaxAttrs fields of
+// at most 32 bits (dictionary ids are int32), two to a word. Scratch keys of
+// this size live on the stack.
+const maxKeyWords = pattern.MaxAttrs / 2
 
 // Lookup finds the cluster for a pattern, if it was generated. Patterns that
 // cannot be encoded at all (wrong arity, values outside every active domain)
 // are simply not found.
 func (ix *Index) Lookup(p pattern.Pattern) (*Cluster, bool) {
-	var id int32
-	var ok bool
-	if ix.codec != nil {
-		var key uint64
-		if key, ok = ix.codec.PackChecked(p); ok {
-			id, ok = ix.byPacked.get(key)
-		}
-	} else {
-		var buf [4 * pattern.MaxAttrs]byte
-		id, ok = ix.byKey[string(p.AppendKey(buf[:0]))]
+	var buf [maxKeyWords]uint64
+	key := buf[:ix.codec.Words()]
+	if !ix.codec.PackChecked(p, key) {
+		return nil, false
 	}
+	id, ok := ix.table.Find(key)
 	if !ok {
 		return nil, false
 	}
@@ -523,26 +470,27 @@ func (ix *Index) LCACluster(a, b *Cluster) (*Cluster, error) {
 // LCAMemo caches LCA cluster ids for pairs of cluster ids from one Index.
 // The greedy merge loops probe the same pairs repeatedly (a surviving pair is
 // re-evaluated every round until it merges or dies), so memoizing by id pair
-// removes the repeated LCA computations and map lookups of LCACluster. A memo
-// is index-level state — entries never go stale because the cluster space is
-// immutable — but it is NOT safe for concurrent use; give each worker or
-// replay state its own memo.
+// removes the repeated LCA computations and table lookups of LCACluster. A
+// memo is index-level state — entries never go stale because the cluster
+// space is immutable — but it is NOT safe for concurrent use; give each
+// worker or replay state its own memo.
 type LCAMemo struct {
 	ix      *Index
-	memo    *packedMap // (a, b) id pair -> LCA cluster id
+	memo    *pattern.Table // (a, b) id pair -> LCA cluster id
 	scratch pattern.Pattern
-	key     []byte
 	hits    int
 	misses  int
 }
+
+// memoHint sizes a fresh LCA memo.
+const memoHint = 256
 
 // NewLCAMemo returns an empty memo bound to the index.
 func (ix *Index) NewLCAMemo() *LCAMemo {
 	return &LCAMemo{
 		ix:      ix,
-		memo:    newPackedMap(256),
+		memo:    pattern.NewTable(1, memoHint),
 		scratch: make(pattern.Pattern, ix.Space.M()),
-		key:     make([]byte, 0, 4*ix.Space.M()),
 	}
 }
 
@@ -555,28 +503,22 @@ func (m *LCAMemo) LCAID(a, b int32) (int32, error) {
 	if a > b {
 		a, b = b, a
 	}
-	pairKey := uint64(uint32(a))<<32 | uint64(uint32(b))
-	if id, ok := m.memo.get(pairKey); ok {
+	pair := [1]uint64{uint64(uint32(a))<<32 | uint64(uint32(b))}
+	if id, ok := m.memo.Find(pair[:]); ok {
 		m.hits++
 		return id, nil
 	}
 	m.misses++
-	var id int32
-	var ok bool
-	if m.ix.codec != nil {
-		lcaKey := m.ix.codec.LCA(m.ix.packed[a], m.ix.packed[b])
-		if id, ok = m.ix.byPacked.get(lcaKey); !ok {
-			m.ix.codec.Unpack(lcaKey, m.scratch)
-		}
-	} else {
-		pattern.LCAInto(m.scratch, m.ix.Clusters[a].Pat, m.ix.Clusters[b].Pat)
-		m.key = m.scratch.AppendKey(m.key[:0])
-		id, ok = m.ix.byKey[string(m.key)]
-	}
+	ix := m.ix
+	var buf [maxKeyWords]uint64
+	key := buf[:ix.codec.Words()]
+	ix.codec.LCA(key, ix.key(a), ix.key(b))
+	id, ok := ix.table.Find(key)
 	if !ok {
+		ix.codec.Unpack(key, m.scratch)
 		return 0, fmt.Errorf("lattice: LCA %v of clusters %d and %d not in index", m.scratch, a, b)
 	}
-	m.memo.putNew(pairKey, id)
+	m.memo.Insert(pair[:], id)
 	return id, nil
 }
 
@@ -585,12 +527,11 @@ func (m *LCAMemo) LCAID(a, b int32) (int32, error) {
 // exactly when the successor preserved every cluster id — the fast path of
 // incremental maintenance (Index.ApplyDelta): entries are id-pair → id facts
 // about cluster patterns, and id stability carries them over unchanged. With
-// keep false the memo is flushed (the table is re-allocated at its hint
-// size; the scratch buffers are kept).
+// keep false the memo is emptied (its storage is kept).
 func (m *LCAMemo) Rebind(ix *Index, keep bool) {
 	m.ix = ix
 	if !keep {
-		m.memo = newPackedMap(256)
+		m.memo.Reset(1, memoHint)
 		m.hits, m.misses = 0, 0
 	}
 	if len(m.scratch) != ix.Space.M() {

@@ -25,11 +25,9 @@ func assertIndexInvariants(ix *Index, origin string) {
 			panic(fmt.Sprintf("qagcheck: %s: cluster %d coverage out of tuple range [0, %d)", origin, ci, n))
 		}
 	}
-	if ix.codec != nil {
-		for j, d := range ix.Space.Dicts {
-			if !ix.codec.CardFits(j, d.Len()) {
-				panic(fmt.Sprintf("qagcheck: %s: codec field %d cannot hold dictionary cardinality %d; packing would alias the Star sentinel", origin, j, d.Len()))
-			}
+	for j, d := range ix.Space.Dicts {
+		if !ix.codec.CardFits(j, d.Len()) {
+			panic(fmt.Sprintf("qagcheck: %s: codec field %d cannot hold dictionary cardinality %d; packing would alias the Star sentinel", origin, j, d.Len()))
 		}
 	}
 }

@@ -220,7 +220,6 @@ func TestStarJoinMatchesFlat(t *testing.T) {
 			{engine.ExecReference()},
 			{engine.ExecParallelism(1)},
 			{engine.ExecParallelism(8)},
-			{engine.ExecParallelism(8), engine.ExecStringKeys()},
 			{engine.ExecParallelism(2), engine.ExecGenericJoin()},
 		} {
 			got, err := engine.ExecuteSQL(starCat, jq, opts...)

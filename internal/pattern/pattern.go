@@ -5,19 +5,16 @@
 // ancestors, and semilattice levels.
 package pattern
 
-import (
-	"encoding/binary"
-	"strings"
-)
+import "strings"
 
 // Star is the don't-care value '*' in a pattern position.
 const Star int32 = -1
 
 // MaxAttrs is the maximum number of grouping attributes the pattern algebra
-// supports. It bounds the 2^m ancestor enumerations (Ancestors, cluster
-// generation in lattice.BuildIndex) and lets the packed representation
-// reserve one subset bit per attribute; every layer that rejects or panics on
-// wide schemas uses this one constant, so the bound reported by
+// supports. It bounds the 2^m ancestor enumerations (Ancestors,
+// Codec.AppendAncestors, cluster generation in lattice.BuildIndex), which
+// keep one subset-mask bit per attribute; every layer that rejects or panics
+// on wide schemas uses this one constant, so the bound reported by
 // lattice.BuildIndex and enforced by Ancestors cannot drift apart.
 const MaxAttrs = 16
 
@@ -135,28 +132,6 @@ func LCAInto(dst, p, q Pattern) {
 			dst[i] = Star
 		}
 	}
-}
-
-// Key packs the pattern into a compact string usable as a map key.
-func (p Pattern) Key() string {
-	var b [4]byte
-	sb := make([]byte, 0, 4*len(p))
-	for _, v := range p {
-		binary.LittleEndian.PutUint32(b[:], uint32(v))
-		sb = append(sb, b[:]...)
-	}
-	return string(sb)
-}
-
-// AppendKey appends the packed key of p to dst and returns it, for callers
-// reusing a scratch buffer.
-func (p Pattern) AppendKey(dst []byte) []byte {
-	var b [4]byte
-	for _, v := range p {
-		binary.LittleEndian.PutUint32(b[:], uint32(v))
-		dst = append(dst, b[:]...)
-	}
-	return dst
 }
 
 // CoversTuple reports whether the pattern covers a concrete tuple. It is

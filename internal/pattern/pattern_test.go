@@ -218,24 +218,6 @@ func TestLevel(t *testing.T) {
 	}
 }
 
-func TestKeyUniqueness(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	seen := map[string]Pattern{}
-	for i := 0; i < 5000; i++ {
-		p := genPattern(rng, 5)
-		k := p.Key()
-		if q, ok := seen[k]; ok && !Equal(p, q) {
-			t.Fatalf("key collision: %v vs %v", p, q)
-		}
-		seen[k] = p.Clone()
-	}
-	// AppendKey must agree with Key.
-	p := genPattern(rng, 5)
-	if string(p.AppendKey(nil)) != p.Key() {
-		t.Error("AppendKey differs from Key")
-	}
-}
-
 func TestAncestorsEnumeration(t *testing.T) {
 	tup := []int32{3, 7}
 	var got []Pattern

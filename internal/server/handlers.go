@@ -527,7 +527,6 @@ func (s *Server) sessionInfo(sess *session, v *sessionView, reused bool) map[str
 		"m":            v.sum.M(),
 		"attrs":        v.sum.Attrs(),
 		"clusters":     v.sum.NumClusters(),
-		"packed":       v.sum.PackedKeys(),
 		"reused":       reused,
 		"data_version": v.dataVersion,
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"qagview"
 	"qagview/internal/intervaltree"
 )
 
@@ -219,23 +221,76 @@ func TestSolutionLiveFallbackBeforeReady(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	id := openSession(t, ts)
 	// The store builds in the background; a read racing it must succeed
-	// either way and label its source.
+	// either way, label its source, and match the library's answer for that
+	// source.
 	sol := get(t, ts, "/v1/sessions/"+id+"/solution?k=3&d=1")
 	if sol.code != http.StatusOK {
 		t.Fatalf("solution during build: %d %s", sol.code, sol.raw)
 	}
-	if src := sol.body["source"]; src != "live" && src != "store" {
-		t.Fatalf("source = %v", src)
-	}
+	assertSolutionForSource(t, sol, 3, 1)
 	waitReady(t, ts, id)
 	after := get(t, ts, "/v1/sessions/"+id+"/solution?k=3&d=1")
 	if after.body["source"] != "store" {
 		t.Fatalf("post-ready source = %v, want store", after.body["source"])
 	}
-	// Store and live solutions agree on the objective (the store replays the
-	// same Hybrid sweep).
-	if sol.body["objective"].(float64) != after.body["objective"].(float64) {
-		t.Fatalf("live objective %v != store objective %v", sol.body["objective"], after.body["objective"])
+	assertSolutionForSource(t, after, 3, 1)
+}
+
+// assertSolutionForSource checks a solution response of an openSession
+// session against the library's answer for the source it names: a live
+// Hybrid run, or the precomputed store's retrieval. The two sources are
+// different algorithms and may disagree with each other; each must agree
+// with its own reference on the objective bits and the cluster patterns.
+func assertSolutionForSource(t *testing.T, resp response, k, d int) {
+	t.Helper()
+	rel, err := qagview.ReadCSV(strings.NewReader(makeCSV(3, 3, 2)), "t", map[string]qagview.Kind{"v": qagview.KindFloat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := qagview.NewDB()
+	if err := db.Register(rel); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Query(testSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := qagview.NewSummarizer(res, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want *qagview.Solution
+	switch src := resp.body["source"]; src {
+	case "live":
+		want, err = sum.Summarize(qagview.Hybrid, qagview.Params{K: k, L: 8, D: d})
+	case "store":
+		var st *qagview.Store
+		if st, err = sum.Precompute(1, 6, []int{0, 1, 2}); err == nil {
+			want, err = st.Solution(k, d)
+		}
+	default:
+		t.Fatalf("source = %v, want live or store", src)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	label := fmt.Sprintf("%v solution (k=%d, d=%d)", resp.body["source"], k, d)
+	if got := resp.body["objective"].(float64); math.Float64bits(got) != math.Float64bits(want.AvgValue()) {
+		t.Fatalf("%s: objective %v, library %v", label, got, want.AvgValue())
+	}
+	clusters := resp.body["clusters"].([]any)
+	rows := sum.Rows(want)
+	if len(clusters) != len(rows) {
+		t.Fatalf("%s: %d clusters, library %d", label, len(clusters), len(rows))
+	}
+	for i, c := range clusters {
+		var pat []string
+		for _, v := range c.(map[string]any)["pattern"].([]any) {
+			pat = append(pat, v.(string))
+		}
+		if strings.Join(pat, "|") != strings.Join(rows[i].Pattern, "|") {
+			t.Fatalf("%s: cluster %d pattern %v, library %v", label, i, pat, rows[i].Pattern)
+		}
 	}
 }
 

@@ -621,22 +621,32 @@ func TestDenseSweeperMatchesReference(t *testing.T) {
 	}
 }
 
-// TestPackedIndexMatchesSliceIndex pins packed == slice end to end on every
-// algorithm: the same space built on the packed uint64 fast path and with the
-// forced slice fallback must drive the dense engine to bit-identical
-// solutions and sweep traces (the packed representation changes the key and
-// the Covers/Distance/LCA machinery, never a decision).
-func TestPackedIndexMatchesSliceIndex(t *testing.T) {
-	ixPacked := randomIndex(t, 970, 140, 5, 3, 30)
-	if !ixPacked.PackedKeys() {
-		t.Fatal("packed fast path should engage on the synthetic space")
+// TestOneWordIndexMatchesMultiWordIndex pins the key width out of every
+// algorithm: the same space keyed in one word and, with its dictionaries
+// padded by unused values, in two words must drive the dense engine to
+// bit-identical solutions and sweep traces (the key width changes the key
+// and the Covers/Distance/LCA machinery, never a decision).
+func TestOneWordIndexMatchesMultiWordIndex(t *testing.T) {
+	s := randomIndex(t, 970, 140, 5, 3, 30).Space
+	dicts := make([]*relation.Dict, s.M())
+	for j, d := range s.Dicts {
+		// 4096 entries need 13-bit fields: five of them overflow one word.
+		dicts[j] = d.Clone()
+		for i := d.Len(); i < 1<<12; i++ {
+			dicts[j].ID(fmt.Sprintf("pad%d_%d", j, i))
+		}
 	}
-	ixSlice, err := lattice.BuildIndex(ixPacked.Space, ixPacked.L, lattice.WithSliceKeys())
+	padded := &lattice.Space{Attrs: s.Attrs, Dicts: dicts, Tuples: s.Tuples, Vals: s.Vals}
+	ixOne, oneStats, err := lattice.BuildIndexStats(s, 30, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ixSlice.PackedKeys() {
-		t.Fatal("WithSliceKeys should force the fallback")
+	ixTwo, twoStats, err := lattice.BuildIndexStats(padded, 30, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oneStats.KeyWords != 1 || twoStats.KeyWords != 2 {
+		t.Fatalf("key words %d and %d, want 1 and 2", oneStats.KeyWords, twoStats.KeyWords)
 	}
 	params := []Params{
 		{K: 4, L: 30, D: 2},
@@ -646,48 +656,48 @@ func TestPackedIndexMatchesSliceIndex(t *testing.T) {
 	for _, p := range params {
 		for _, useDelta := range []bool{true, false} {
 			for _, algo := range equivalenceAlgos {
-				label := fmt.Sprintf("packed-vs-slice/%s/%+v/delta=%v", algo, p, useDelta)
-				a, err := Run(algo, ixPacked, p, WithDelta(useDelta), WithRand(rand.New(rand.NewSource(7))))
+				label := fmt.Sprintf("one-vs-two-words/%s/%+v/delta=%v", algo, p, useDelta)
+				a, err := Run(algo, ixOne, p, WithDelta(useDelta), WithRand(rand.New(rand.NewSource(7))))
 				if err != nil {
-					t.Fatalf("%s: packed: %v", label, err)
+					t.Fatalf("%s: one word: %v", label, err)
 				}
-				b, err := Run(algo, ixSlice, p, WithDelta(useDelta), WithRand(rand.New(rand.NewSource(7))))
+				b, err := Run(algo, ixTwo, p, WithDelta(useDelta), WithRand(rand.New(rand.NewSource(7))))
 				if err != nil {
-					t.Fatalf("%s: slice: %v", label, err)
+					t.Fatalf("%s: two words: %v", label, err)
 				}
 				assertBitIdentical(t, label, a, b)
 			}
 		}
 	}
-	swP, err := NewSweeper(ixPacked, 30, 10)
+	swOne, err := NewSweeper(ixOne, 30, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	swS, err := NewSweeper(ixSlice, 30, 10)
+	swTwo, err := NewSweeper(ixTwo, 30, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for D := 0; D <= ixPacked.Space.M(); D++ {
-		a, err := swP.RunD(D, 1)
+	for D := 0; D <= ixOne.Space.M(); D++ {
+		a, err := swOne.RunD(D, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := swS.RunD(D, 1)
+		b, err := swTwo.RunD(D, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(a.States) != len(b.States) {
-			t.Fatalf("D=%d: %d states packed vs %d slice", D, len(a.States), len(b.States))
+			t.Fatalf("D=%d: %d states at one word vs %d at two", D, len(a.States), len(b.States))
 		}
 		for j := range a.States {
 			x, y := &a.States[j], &b.States[j]
 			if x.Size != y.Size || x.Count != y.Count ||
 				math.Float64bits(x.Sum) != math.Float64bits(y.Sum) {
-				t.Fatalf("D=%d state %d: %+v packed vs %+v slice", D, j, x, y)
+				t.Fatalf("D=%d state %d: %+v at one word vs %+v at two", D, j, x, y)
 			}
 			for i := range x.Clusters {
 				if x.Clusters[i] != y.Clusters[i] {
-					t.Fatalf("D=%d state %d cluster %d: %d packed vs %d slice", D, j, i, x.Clusters[i], y.Clusters[i])
+					t.Fatalf("D=%d state %d cluster %d: %d at one word vs %d at two", D, j, i, x.Clusters[i], y.Clusters[i])
 				}
 			}
 		}

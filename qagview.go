@@ -138,9 +138,6 @@ var (
 	// ExecReference forces the row-at-a-time reference executor, for
 	// ablations and differential tests.
 	ExecReference = engine.ExecReference
-	// ExecStringKeys forces the vectorized executor's string-key fallback
-	// over packed uint64 group keys, for ablations.
-	ExecStringKeys = engine.ExecStringKeys
 	// ExecHashJoin forces the binary hash-join plan for multi-table queries
 	// (overriding the cyclicity-based auto selection), for ablations.
 	ExecHashJoin = engine.ExecHashJoin
@@ -159,9 +156,6 @@ var (
 	// build's coverage-mapping phase (default GOMAXPROCS); the built space is
 	// bit-identical at any setting.
 	BuildParallelism = lattice.BuildParallelism
-	// WithSliceKeys forces the slice-pattern representation over the packed
-	// uint64 fast path, for ablations; output is identical either way.
-	WithSliceKeys = lattice.WithSliceKeys
 )
 
 // DB is a named collection of in-memory relations that aggregate queries run
@@ -272,10 +266,6 @@ func (s *Summarizer) Attrs() []string { return s.space.Attrs }
 
 // NumClusters returns the size of the materialized cluster space.
 func (s *Summarizer) NumClusters() int { return s.ix.NumClusters() }
-
-// PackedKeys reports whether the cluster space runs on the packed uint64
-// pattern fast path (false when the attribute widths exceed one word).
-func (s *Summarizer) PackedKeys() bool { return s.ix.PackedKeys() }
 
 // ApproxBytes estimates the summarizer's resident memory: cluster records
 // and key tables, the shared coverage arena, and the answer-space tuples.
