@@ -2,7 +2,7 @@
 # replay are the dense-engine target figure), the cluster-space build across
 # worker counts, the per-replay sweep unit, the single-run algorithms, and
 # the Delta-Judgment ablation.
-BENCH_ROOT    := BenchmarkFig7PrecomputeKParallel|BenchmarkFig6VaryD|BenchmarkFig8Delta|BenchmarkBuildIndexMovieLens|BenchmarkApplyDelta|BenchmarkExecuteMovieLens|BenchmarkAppendWAL|BenchmarkJoinMovieLens|BenchmarkJoinTriangle|BenchmarkTraceOverhead
+BENCH_ROOT    := BenchmarkFig7PrecomputeKParallel|BenchmarkFig6VaryD|BenchmarkFig8Delta|BenchmarkBuildIndexMovieLens|BenchmarkApplyDelta|BenchmarkExecuteMovieLens|BenchmarkAppendWAL|BenchmarkAppendRows|BenchmarkJoinMovieLens|BenchmarkJoinTriangle|BenchmarkTraceOverhead
 BENCH_SUMMARIZE := BenchmarkSweeperRunD
 BENCH_COUNT   ?= 1
 BENCH_TIME    ?= 3x

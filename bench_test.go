@@ -673,6 +673,74 @@ func BenchmarkAppendWAL(b *testing.B) {
 	})
 }
 
+// BenchmarkAppendRows measures one step of the live-table loop on the
+// 100k-row RatingTable: append a 64-row batch with Relation.Append, then run
+// the live workload's refresh query (e2ebench live: seven grouping
+// attributes, one gender) on the successor. Each step appends to the newest
+// generation, as qagviewd does, so the append extends the shared column
+// arrays and the inherited dictionaries in place and the query re-encodes
+// only the batch.
+func BenchmarkAppendRows(b *testing.B) {
+	rel, err := movielens.Generate(movielens.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	const attrs = "hdec, agegrp, occupation, decade, zipregion, weekday, genre_action"
+	const sql = "SELECT " + attrs + ", avg(rating) AS val FROM RatingTable WHERE gender = 'M' GROUP BY " +
+		attrs + " HAVING count(*) > 2 ORDER BY val DESC"
+	// The batch re-appends 64 existing rows, so every grouping value is one
+	// the dictionaries already hold.
+	rng := rand.New(rand.NewSource(1))
+	rows := make([]int, 64)
+	for i := range rows {
+		rows[i] = rng.Intn(rel.NumRows())
+	}
+	batch := make([]qagview.Column, rel.NumCols())
+	for i := range batch {
+		src := rel.Column(i)
+		c := qagview.Column{Name: src.Name, Kind: src.Kind}
+		for _, r := range rows {
+			switch src.Kind {
+			case qagview.KindString:
+				c.Str = append(c.Str, src.Str[r])
+			case qagview.KindInt:
+				c.Int = append(c.Int, src.Int[r])
+			case qagview.KindFloat:
+				c.Float = append(c.Float, src.Float[r])
+			}
+		}
+		batch[i] = c
+	}
+	db := qagview.NewDB()
+	step := func() {
+		next, err := rel.Append(batch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rel = next
+		if err := db.Register(rel); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := db.Query(sql); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// Warm-up: the first query builds the dictionaries and the first append
+	// copies the generator's arrays; every later step is the steady state.
+	if err := db.Register(rel); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := db.Query(sql); err != nil {
+		b.Fatal(err)
+	}
+	step()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
 // BenchmarkJoinMovieLens measures the multi-table path on the MovieLens star
 // schema: the running example's aggregate over ratings JOIN users JOIN
 // movies (acyclic, so the auto rule picks left-deep hash joins), across

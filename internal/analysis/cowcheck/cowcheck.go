@@ -27,6 +27,16 @@
 //     and discarding every result (expression statement, or all-blank
 //     assignment) is flagged: the receiver is never mutated, so the call
 //     had no effect and the caller almost certainly believed otherwise.
+//
+//  4. Shared relation arrays: outside internal/relation, an index write into,
+//     or an append onto, a slice that every generation of an appended table
+//     shares is flagged: the Str/Int/Float slice of a relation.Column reached
+//     from a *Relation (through Column, ColumnByName, or a one-level local
+//     alias of the column or the slice), and ColDict.Codes,
+//     ColGroups.Starts and ColGroups.Rows. Relation.Append extends these
+//     arrays in place for the next generation, so one write corrupts every
+//     generation, and an append writes into capacity the next Append owns.
+//     Columns a caller builds itself are its own and stay unflagged.
 package cowcheck
 
 import (
@@ -40,7 +50,7 @@ import (
 // Analyzer is the cowcheck analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "cowcheck",
-	Doc:  "flags violations of the lattice.Index / relation.Dict copy-on-write contract",
+	Doc:  "flags violations of the lattice.Index / relation.Dict / shared relation array copy-on-write contract",
 	Run:  run,
 }
 
@@ -50,15 +60,20 @@ func run(pass *analysis.Pass) error {
 	analysis.FuncBodies(pass.Files, func(body *ast.BlockStmt) {
 		covAliases := collectCovAliases(pass, body)
 		var firstOwned token.Pos = token.NoPos
+		var shared *sharedAliases
 		if !inRelation {
 			firstOwned = firstDictOwned(pass, body)
+			shared = collectSharedAliases(pass, body)
 		}
 		ast.Inspect(body, func(n ast.Node) bool {
 			switch st := n.(type) {
 			case *ast.AssignStmt:
-				if !inLattice {
-					for _, lhs := range st.Lhs {
+				for _, lhs := range st.Lhs {
+					if !inLattice {
 						checkWrite(pass, covAliases, lhs)
+					}
+					if !inRelation {
+						checkSharedWrite(pass, shared, lhs)
 					}
 				}
 				if allBlank(st.Lhs) {
@@ -72,6 +87,9 @@ func run(pass *analysis.Pass) error {
 				if !inLattice {
 					checkWrite(pass, covAliases, st.X)
 				}
+				if !inRelation {
+					checkSharedWrite(pass, shared, st.X)
+				}
 			case *ast.ExprStmt:
 				if call, ok := st.X.(*ast.CallExpr); ok {
 					checkDiscardedCOW(pass, call)
@@ -79,6 +97,7 @@ func run(pass *analysis.Pass) error {
 			case *ast.CallExpr:
 				if !inRelation {
 					checkDictMutation(pass, st, firstOwned)
+					checkSharedAppend(pass, shared, st)
 				}
 			}
 			return true
@@ -156,6 +175,122 @@ func collectCovAliases(pass *analysis.Pass, body *ast.BlockStmt) map[types.Objec
 
 func isLatticeOwned(t types.Type) bool {
 	return analysis.IsNamed(t, "lattice", "Cluster") || analysis.IsNamed(t, "lattice", "Index")
+}
+
+// sharedAliases are the local variables of one function that alias shared
+// relation state (rule 4): columns reached from a *Relation, and the shared
+// slices themselves, by the name the diagnostic gives them.
+type sharedAliases struct {
+	cols   map[types.Object]bool
+	slices map[types.Object]string
+}
+
+// collectSharedAliases finds local variables assigned (one level, in source
+// order) from a relation column or a shared slice, including subslices of
+// one.
+func collectSharedAliases(pass *analysis.Pass, body *ast.BlockStmt) *sharedAliases {
+	a := &sharedAliases{cols: make(map[types.Object]bool), slices: make(map[types.Object]string)}
+	ast.Inspect(body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok {
+			return true
+		}
+		for i, lhs := range as.Lhs {
+			if i >= len(as.Rhs) {
+				break
+			}
+			id, ok := lhs.(*ast.Ident)
+			if !ok {
+				continue
+			}
+			obj := pass.ObjectOf(id)
+			if obj == nil {
+				continue
+			}
+			if isRelationColumn(pass, a, as.Rhs[i]) {
+				a.cols[obj] = true
+			} else if name, ok := sharedSlice(pass, a, as.Rhs[i]); ok {
+				a.slices[obj] = name
+			}
+		}
+		return true
+	})
+	return a
+}
+
+// isRelationColumn reports whether e denotes a column of a *Relation: a
+// Column or ColumnByName call on one, its dereference, or an alias.
+func isRelationColumn(pass *analysis.Pass, a *sharedAliases, e ast.Expr) bool {
+	switch v := ast.Unparen(e).(type) {
+	case *ast.StarExpr:
+		return isRelationColumn(pass, a, v.X)
+	case *ast.CallExpr:
+		recv, ok := analysis.MethodCall(v, "Column")
+		if !ok {
+			recv, ok = analysis.MethodCall(v, "ColumnByName")
+		}
+		return ok && analysis.IsNamed(pass.TypeOf(recv), "relation", "Relation")
+	case *ast.Ident:
+		return a.cols[pass.ObjectOf(v)]
+	}
+	return false
+}
+
+// sharedSlice reports whether e denotes a slice every generation of a
+// table shares, returning its name for the diagnostic.
+func sharedSlice(pass *analysis.Pass, a *sharedAliases, e ast.Expr) (string, bool) {
+	switch v := ast.Unparen(e).(type) {
+	case *ast.SliceExpr:
+		return sharedSlice(pass, a, v.X)
+	case *ast.Ident:
+		name, ok := a.slices[pass.ObjectOf(v)]
+		return name, ok
+	case *ast.SelectorExpr:
+		owner := ""
+		switch v.Sel.Name {
+		case "Str", "Int", "Float":
+			if isRelationColumn(pass, a, v.X) {
+				owner = "Column"
+			}
+		case "Codes":
+			if analysis.IsNamed(pass.TypeOf(v.X), "relation", "ColDict") {
+				owner = "ColDict"
+			}
+		case "Starts", "Rows":
+			if analysis.IsNamed(pass.TypeOf(v.X), "relation", "ColGroups") {
+				owner = "ColGroups"
+			}
+		}
+		if owner != "" {
+			return "relation." + owner + "." + v.Sel.Name, true
+		}
+	}
+	return "", false
+}
+
+// checkSharedWrite flags an index write into a shared relation slice.
+func checkSharedWrite(pass *analysis.Pass, a *sharedAliases, lhs ast.Expr) {
+	ix, ok := ast.Unparen(lhs).(*ast.IndexExpr)
+	if !ok {
+		return
+	}
+	if name, ok := sharedSlice(pass, a, ix.X); ok {
+		pass.Reportf(lhs.Pos(), "write into %s outside internal/relation: every generation of an appended table shares this array, so the write corrupts them all; build fresh columns and use Relation.Append", name)
+	}
+}
+
+// checkSharedAppend flags the builtin append onto a shared relation slice.
+func checkSharedAppend(pass *analysis.Pass, a *sharedAliases, call *ast.CallExpr) {
+	fn, ok := call.Fun.(*ast.Ident)
+	if !ok || fn.Name != "append" || len(call.Args) == 0 {
+		return
+	}
+	if _, builtin := pass.ObjectOf(fn).(*types.Builtin); !builtin {
+		return
+	}
+	if name, ok := sharedSlice(pass, a, call.Args[0]); ok {
+		pass.Reportf(call.Pos(), "append onto %s outside internal/relation: its spare capacity belongs to the table's next generation (Relation.Append extends in place); copy the slice first or use Relation.Append", name)
+	}
 }
 
 // checkDictMutation flags Dict.ID calls with no earlier ownership-taking call

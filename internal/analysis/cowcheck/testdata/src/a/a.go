@@ -75,3 +75,53 @@ func allowedWrite(c *lattice.Cluster) {
 	//qag:allow cowcheck fixture: cluster is a private deep copy under test
 	c.Sum = 9
 }
+
+// Rule 4: writes into, and appends onto, arrays shared by every generation
+// of an appended table.
+func sharedColumnWrites(r *relation.Relation) {
+	r.Column(0).Str[0] = "x" // want `write into relation.Column.Str outside internal/relation`
+	r.Column(1).Int[0]++     // want `write into relation.Column.Int outside internal/relation`
+	c := r.Column(2)
+	c.Float[0] = 1               // want `write into relation.Column.Float outside internal/relation`
+	c.Float = append(c.Float, 2) // want `append onto relation.Column.Float outside internal/relation`
+	named, _ := r.ColumnByName("s")
+	named.Str[1] = "y" // want `write into relation.Column.Str outside internal/relation`
+	vals := r.Column(0).Str
+	vals[2] = "z" // want `write into relation.Column.Str outside internal/relation`
+	tail := vals[1:]
+	tail[0] = "w"                  // want `write into relation.Column.Str outside internal/relation`
+	_ = append(r.Column(1).Int, 7) // want `append onto relation.Column.Int outside internal/relation`
+	copyOf := *r.Column(0)
+	copyOf.Str[0] = "v" // want `write into relation.Column.Str outside internal/relation`
+}
+
+func sharedEncodingWrites(r *relation.Relation) {
+	d := r.DictCodes(0)
+	d.Codes[0] = 3         // want `write into relation.ColDict.Codes outside internal/relation`
+	_ = append(d.Codes, 4) // want `append onto relation.ColDict.Codes outside internal/relation`
+	g := r.CodeGroups(0)
+	g.Starts[1] = 0            // want `write into relation.ColGroups.Starts outside internal/relation`
+	g.Rows = append(g.Rows, 9) // want `append onto relation.ColGroups.Rows outside internal/relation`
+	codes := g.Dict.Codes
+	codes[0]-- // want `write into relation.ColDict.Codes outside internal/relation`
+}
+
+// Reading shared arrays, and building fresh columns, are fine.
+func freshColumns(r *relation.Relation, rows [][]string) []relation.Column {
+	total := 0
+	for _, s := range r.Column(0).Str {
+		total += len(s)
+	}
+	out := make([]relation.Column, 1)
+	for _, row := range rows {
+		out[0].Str = append(out[0].Str, row[0])
+	}
+	c := &out[0]
+	c.Str[0] = r.Column(0).Str[0]
+	fresh := relation.Column{Name: "n", Int: make([]int64, total)}
+	fresh.Int[0] = int64(r.DictCodes(0).Codes[0])
+	fresh.Int = append(fresh.Int, 1)
+	own := append([]int32(nil), r.DictCodes(0).Codes...)
+	own[0] = 0
+	return append(out, fresh)
+}

@@ -17,6 +17,14 @@ import "math"
 type ColDict struct {
 	Codes []int32
 	Card  int
+
+	// The value→code map of the column's kind (the other two stay nil). It
+	// outlives the build so that Relation.Append can extend the dictionary
+	// over new rows only; first-seen order makes the parent's codes a prefix
+	// of the successor's.
+	strIDs   map[string]int32
+	intIDs   map[int64]int32
+	floatIDs map[uint64]int32
 }
 
 // canonicalNaN is the single bit pattern all NaN payloads map to, so float
@@ -25,10 +33,11 @@ type ColDict struct {
 var canonicalNaN = math.Float64bits(math.NaN())
 
 // DictCodes returns the dictionary encoding of column col, building it on
-// first use and caching it for the relation's lifetime (relations are
-// immutable; appends build new relations with fresh columns, so a cached
-// encoding can never go stale). Safe for concurrent use; the returned value
-// is shared and must not be modified.
+// first use and caching it for the relation's lifetime. A relation's first
+// n rows never change, so a cached encoding never goes stale; an appended
+// successor inherits it extended over the new rows (see Append). Safe for
+// concurrent use; the returned value is shared with later generations and
+// must not be modified.
 func (r *Relation) DictCodes(col int) *ColDict {
 	r.dictMu.Lock()
 	defer r.dictMu.Unlock()
@@ -42,39 +51,62 @@ func (r *Relation) dictCodesLocked(col int) *ColDict {
 	if d := r.dicts[col]; d != nil {
 		return d
 	}
-	d := buildColDict(&r.cols[col])
+	d := &ColDict{Codes: make([]int32, 0, r.n)}
+	d.encode(&r.cols[col], 0)
 	r.dicts[col] = d
 	return d
 }
 
-func buildColDict(c *Column) *ColDict {
-	d := &ColDict{Codes: make([]int32, c.Len())}
+// extend returns the dictionary of c, which holds d's column followed by
+// new rows from row `from` on. The successor shares d's code array and
+// value map and extends both in place, so only the one successor that
+// claimed the parent relation may call it.
+func (d *ColDict) extend(c *Column, from int) *ColDict {
+	next := *d
+	next.encode(c, from)
+	return &next
+}
+
+// encode appends the codes of c's rows from row `from` on, giving each value
+// the dictionary has not seen the next free code. It serves both the first
+// build (from 0, empty maps) and extension over appended rows.
+func (d *ColDict) encode(c *Column, from int) {
+	codes := d.Codes
 	switch c.Kind {
 	case KindString:
-		ids := make(map[string]int32, 64)
-		for i, s := range c.Str {
+		if d.strIDs == nil {
+			d.strIDs = make(map[string]int32, 64)
+		}
+		ids := d.strIDs
+		for _, s := range c.Str[from:] {
 			id, ok := ids[s]
 			if !ok {
 				id = int32(len(ids))
 				ids[s] = id
 			}
-			d.Codes[i] = id
+			codes = append(codes, id)
 		}
 		d.Card = len(ids)
 	case KindInt:
-		ids := make(map[int64]int32, 64)
-		for i, v := range c.Int {
+		if d.intIDs == nil {
+			d.intIDs = make(map[int64]int32, 64)
+		}
+		ids := d.intIDs
+		for _, v := range c.Int[from:] {
 			id, ok := ids[v]
 			if !ok {
 				id = int32(len(ids))
 				ids[v] = id
 			}
-			d.Codes[i] = id
+			codes = append(codes, id)
 		}
 		d.Card = len(ids)
 	case KindFloat:
-		ids := make(map[uint64]int32, 64)
-		for i, v := range c.Float {
+		if d.floatIDs == nil {
+			d.floatIDs = make(map[uint64]int32, 64)
+		}
+		ids := d.floatIDs
+		for _, v := range c.Float[from:] {
 			bits := math.Float64bits(v)
 			if v != v {
 				bits = canonicalNaN
@@ -84,9 +116,9 @@ func buildColDict(c *Column) *ColDict {
 				id = int32(len(ids))
 				ids[bits] = id
 			}
-			d.Codes[i] = id
+			codes = append(codes, id)
 		}
 		d.Card = len(ids)
 	}
-	return d
+	d.Codes = codes
 }

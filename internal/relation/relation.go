@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 )
 
 // Kind identifies the physical type of a column.
@@ -111,9 +112,16 @@ type Relation struct {
 	byName map[string]int
 	n      int
 
+	// owned marks column arrays no caller holds (Append made them), so a
+	// successor may write rows past n into their spare capacity. extended
+	// is claimed by the first Append from this relation: only that
+	// successor extends the arrays and dictionaries in place.
+	owned    bool
+	extended atomic.Bool
+
 	// dicts and groups cache per-column dictionary encodings (see DictCodes)
 	// and code-grouped row indexes (see CodeGroups), built lazily under
-	// dictMu; the column data itself never changes.
+	// dictMu; the first n rows of the column data never change.
 	dictMu sync.Mutex
 	dicts  []*ColDict
 	groups []*ColGroups
@@ -193,3 +201,71 @@ func (r *Relation) ColumnIndex(name string) int {
 
 // StringAt renders row/column as a string.
 func (r *Relation) StringAt(col, row int) string { return r.cols[col].StringAt(row) }
+
+// Append returns a successor relation holding r's rows followed by batch's,
+// and leaves r unchanged. batch must match r's columns by name and kind, in
+// order, with one length; its slices are copied, never retained. A batch of
+// zero rows returns r itself.
+//
+// The successor shares r's column arrays: the first Append from r writes the
+// new rows into their spare capacity, past r's length, where no reader of r
+// ever looks. Capacity grows as Go's append grows it (about 1.25x for large
+// tables), so a run of appends costs amortized O(batch) each. Two cases copy
+// the arrays instead: a second Append from the same r, and the first Append
+// from a relation built by FromColumns (or ReadCSV, ReadSnapshot), whose
+// caller may still hold the slices. Dictionaries r has already built carry
+// over to the first successor, extended over the new rows only.
+func (r *Relation) Append(batch []Column) (*Relation, error) {
+	if len(batch) != len(r.cols) {
+		return nil, fmt.Errorf("relation %q: append has %d columns, want %d", r.name, len(batch), len(r.cols))
+	}
+	m := batch[0].Len()
+	for i := range batch {
+		b, c := &batch[i], &r.cols[i]
+		if b.Name != c.Name || b.Kind != c.Kind {
+			return nil, fmt.Errorf("relation %q: append column %d is %q (%s), want %q (%s)", r.name, i, b.Name, b.Kind, c.Name, c.Kind)
+		}
+		if b.Len() != m {
+			return nil, fmt.Errorf("relation %q: append column %q has %d rows, want %d", r.name, b.Name, b.Len(), m)
+		}
+	}
+	if m == 0 {
+		return r, nil
+	}
+	claimed := r.extended.CompareAndSwap(false, true)
+	inPlace := claimed && r.owned
+	cols := make([]Column, len(r.cols))
+	for i, c := range r.cols {
+		switch c.Kind {
+		case KindString:
+			c.Str = appendRows(c.Str, batch[i].Str, inPlace)
+		case KindInt:
+			c.Int = appendRows(c.Int, batch[i].Int, inPlace)
+		case KindFloat:
+			c.Float = appendRows(c.Float, batch[i].Float, inPlace)
+		}
+		cols[i] = c
+	}
+	next := &Relation{name: r.name, cols: cols, byName: r.byName, n: r.n + m, owned: true}
+	if claimed {
+		r.dictMu.Lock()
+		dicts := append([]*ColDict(nil), r.dicts...)
+		r.dictMu.Unlock()
+		for i, d := range dicts {
+			if d != nil {
+				dicts[i] = d.extend(&cols[i], r.n)
+			}
+		}
+		next.dicts = dicts
+	}
+	return next, nil
+}
+
+// appendRows appends add to s, writing into s's spare capacity when inPlace
+// and into a fresh array otherwise.
+func appendRows[T any](s, add []T, inPlace bool) []T {
+	if !inPlace {
+		s = s[:len(s):len(s)]
+	}
+	return append(s, add...)
+}

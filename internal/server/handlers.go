@@ -1,9 +1,7 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -97,7 +95,8 @@ func parseKinds(kinds map[string]string) (map[string]qagview.Kind, error) {
 // buildRelation validates a table request and parses it into a relation.
 // It is the single parse path for both the live create handler and WAL
 // replay — recovery re-runs exactly this code, which is what makes the
-// recovered table bit-identical to the acknowledged one.
+// recovered table bit-identical to the acknowledged one. Inline rows go
+// through parseRows, the typed per-value parser appends use too.
 func buildRelation(req tableRequest) (*qagview.Relation, error) {
 	if req.Name == "" {
 		return nil, fmt.Errorf("missing table name")
@@ -114,22 +113,64 @@ func buildRelation(req tableRequest) (*qagview.Relation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bad kinds: %v", err)
 	}
-	raw := req.CSV
-	if raw == "" {
-		var buf bytes.Buffer
-		cw := csv.NewWriter(&buf)
-		_ = cw.Write(req.Attrs)
-		for _, row := range req.Rows {
-			_ = cw.Write(row)
+	var rel *qagview.Relation
+	if hasCSV {
+		rel, err = qagview.ReadCSV(strings.NewReader(req.CSV), req.Name, kinds)
+	} else {
+		cols := make([]qagview.Column, len(req.Attrs))
+		for i, a := range req.Attrs {
+			cols[i] = qagview.Column{Name: a, Kind: kinds[a]} // absent: KindString
 		}
-		cw.Flush()
-		raw = buf.String()
+		if err = parseRows(cols, req.Rows); err == nil {
+			rel, err = qagview.FromColumns(req.Name, cols...)
+		}
 	}
-	rel, err := qagview.ReadCSV(strings.NewReader(raw), req.Name, kinds)
 	if err != nil {
 		return nil, fmt.Errorf("loading table: %v", err)
 	}
 	return rel, nil
+}
+
+// parseRows parses rendered rows, one value per column, into the empty
+// typed columns cols names. Each value is parsed on its own and never
+// round-tripped through CSV, whose blank-line skipping would silently drop
+// a single-column row holding an empty string.
+func parseRows(cols []qagview.Column, rows [][]string) error {
+	for i := range cols {
+		switch c := &cols[i]; c.Kind {
+		case qagview.KindString:
+			c.Str = make([]string, 0, len(rows))
+		case qagview.KindInt:
+			c.Int = make([]int64, 0, len(rows))
+		case qagview.KindFloat:
+			c.Float = make([]float64, 0, len(rows))
+		}
+	}
+	for ri, row := range rows {
+		if len(row) != len(cols) {
+			return fmt.Errorf("row %d has %d values, want %d", ri, len(row), len(cols))
+		}
+		for i := range cols {
+			c := &cols[i]
+			switch c.Kind {
+			case qagview.KindString:
+				c.Str = append(c.Str, row[i])
+			case qagview.KindInt:
+				v, err := strconv.ParseInt(row[i], 10, 64)
+				if err != nil {
+					return fmt.Errorf("row %d column %q: %v", ri, c.Name, err)
+				}
+				c.Int = append(c.Int, v)
+			case qagview.KindFloat:
+				v, err := strconv.ParseFloat(row[i], 64)
+				if err != nil {
+					return fmt.Errorf("row %d column %q: %v", ri, c.Name, err)
+				}
+				c.Float = append(c.Float, v)
+			}
+		}
+	}
+	return nil
 }
 
 // stageRecord builds the WAL staging hook for a mutating request, or nil
@@ -234,9 +275,10 @@ type appendRequest struct {
 }
 
 // handleAppendRows appends rows to a loaded table, bumping its data
-// generation. The table is replaced copy-on-write under the catalog write
-// lock, so in-flight queries keep their consistent snapshot; sessions over
-// the table refresh lazily on their next read.
+// generation. The append runs under the catalog write lock in O(batch): the
+// successor relation shares the table's column arrays (Relation.Append), and
+// queries already running keep reading their snapshot, which never sees the
+// new rows. Sessions over the table refresh lazily on their next read.
 func (s *Server) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("id")
 	var req appendRequest
@@ -258,12 +300,8 @@ func (s *Server) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		if next == nil { // zero-row batch: leave the table and generation alone
-			appended, total = 0, rel.NumRows()
-			return nil, nil
-		}
-		appended, total = n, next.NumRows()
-		return next, nil
+		appended, total = n, rel.NumRows()+n
+		return next, nil // nil for a zero-row batch: table and generation stay
 	}, stage) // zero-row batches return before staging: nothing is logged
 	if err != nil {
 		writeDBErr(w, "appending rows", err)
@@ -278,104 +316,40 @@ func (s *Server) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// appendToRelation parses the request rows against the table's schema and
-// returns a new relation with them appended (copy-on-write: the input
-// relation's column slices are never mutated). Each value is parsed exactly
-// once: CSV batches keep ReadCSV's typed columns, inline rows are parsed
-// value by typed value — never round-tripped through CSV, whose blank-line
-// skipping would silently drop a single-column row holding an empty string.
-// A batch with zero rows returns a nil relation (db.update treats it as a
-// no-op that leaves the data generation alone).
+// appendToRelation parses the request rows against the table's schema into
+// fresh columns — CSV batches through ReadCSV, inline rows through
+// parseRows — validates the whole batch, and only then calls rel.Append,
+// which shares rel's column arrays and leaves rel unchanged. It is the one
+// append path of the live handler and WAL replay. A batch with zero rows
+// returns a nil relation (db.update treats it as a no-op that leaves the
+// data generation alone).
 func appendToRelation(rel *qagview.Relation, req appendRequest) (*qagview.Relation, int, error) {
-	copyCols := func(extra int) []qagview.Column {
-		cols := make([]qagview.Column, rel.NumCols())
-		for i := 0; i < rel.NumCols(); i++ {
-			src := rel.Column(i)
-			c := qagview.Column{Name: src.Name, Kind: src.Kind}
-			switch src.Kind {
-			case qagview.KindString:
-				c.Str = append(make([]string, 0, len(src.Str)+extra), src.Str...)
-			case qagview.KindInt:
-				c.Int = append(make([]int64, 0, len(src.Int)+extra), src.Int...)
-			case qagview.KindFloat:
-				c.Float = append(make([]float64, 0, len(src.Float)+extra), src.Float...)
-			}
-			cols[i] = c
-		}
-		return cols
+	batch := make([]qagview.Column, rel.NumCols())
+	for i := range batch {
+		c := rel.Column(i)
+		batch[i] = qagview.Column{Name: c.Name, Kind: c.Kind}
 	}
-
 	if req.CSV != "" {
-		kinds := make(map[string]qagview.Kind, rel.NumCols())
-		for i := 0; i < rel.NumCols(); i++ {
-			c := rel.Column(i)
+		kinds := make(map[string]qagview.Kind, len(batch))
+		for _, c := range batch {
 			kinds[c.Name] = c.Kind
 		}
-		batch, err := qagview.ReadCSV(strings.NewReader(req.CSV), rel.Name(), kinds)
+		csvRel, err := qagview.ReadCSV(strings.NewReader(req.CSV), rel.Name(), kinds)
 		if err != nil {
 			return nil, 0, err
 		}
-		if batch.NumCols() != rel.NumCols() {
-			return nil, 0, fmt.Errorf("append has %d columns, table %q has %d", batch.NumCols(), rel.Name(), rel.NumCols())
+		batch = make([]qagview.Column, csvRel.NumCols())
+		for i := range batch {
+			batch[i] = *csvRel.Column(i)
 		}
-		for i := 0; i < rel.NumCols(); i++ {
-			if batch.Column(i).Name != rel.Column(i).Name {
-				return nil, 0, fmt.Errorf("append column %d is %q, table has %q (columns must match the table's order)",
-					i, batch.Column(i).Name, rel.Column(i).Name)
-			}
-		}
-		if batch.NumRows() == 0 {
-			return nil, 0, nil
-		}
-		cols := copyCols(batch.NumRows())
-		for i := range cols {
-			add := batch.Column(i)
-			switch cols[i].Kind {
-			case qagview.KindString:
-				cols[i].Str = append(cols[i].Str, add.Str...)
-			case qagview.KindInt:
-				cols[i].Int = append(cols[i].Int, add.Int...)
-			case qagview.KindFloat:
-				cols[i].Float = append(cols[i].Float, add.Float...)
-			}
-		}
-		next, err := qagview.FromColumns(rel.Name(), cols...)
-		if err != nil {
-			return nil, 0, err
-		}
-		return next, batch.NumRows(), nil
-	}
-
-	cols := copyCols(len(req.Rows))
-	for ri, row := range req.Rows {
-		if len(row) != rel.NumCols() {
-			return nil, 0, fmt.Errorf("row %d has %d values, table %q has %d columns", ri, len(row), rel.Name(), rel.NumCols())
-		}
-		for i := range cols {
-			c := &cols[i]
-			switch c.Kind {
-			case qagview.KindString:
-				c.Str = append(c.Str, row[i])
-			case qagview.KindInt:
-				v, err := strconv.ParseInt(row[i], 10, 64)
-				if err != nil {
-					return nil, 0, fmt.Errorf("row %d column %q: %v", ri, c.Name, err)
-				}
-				c.Int = append(c.Int, v)
-			case qagview.KindFloat:
-				v, err := strconv.ParseFloat(row[i], 64)
-				if err != nil {
-					return nil, 0, fmt.Errorf("row %d column %q: %v", ri, c.Name, err)
-				}
-				c.Float = append(c.Float, v)
-			}
-		}
-	}
-	next, err := qagview.FromColumns(rel.Name(), cols...)
-	if err != nil {
+	} else if err := parseRows(batch, req.Rows); err != nil {
 		return nil, 0, err
 	}
-	return next, len(req.Rows), nil
+	next, err := rel.Append(batch)
+	if err != nil || next == rel {
+		return nil, 0, err
+	}
+	return next, next.NumRows() - rel.NumRows(), nil
 }
 
 // ---- queries ----

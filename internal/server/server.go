@@ -21,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"maps"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -106,12 +107,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// db wraps qagview.DB with the lock the HTTP surface needs — table loads
-// write the catalog while queries read it — and a per-table data generation,
-// bumped on every load or row append, that drives session staleness.
+// db is the server's catalog: a qagview.DB plus a per-table data
+// generation, bumped on every load or row append, that drives session
+// staleness. Writers never mutate either in place: under the write lock they
+// install fresh copies. So the pair a reader takes under the read lock is an
+// immutable snapshot, and queries execute on it after the lock is released —
+// an append never waits for a running query, and a query never sees half of
+// a write.
 type db struct {
 	mu   sync.RWMutex
-	db   *qagview.DB
+	cat  *qagview.DB
 	gens map[string]uint64
 	// execOpts are applied to every query run through this catalog (session
 	// builds, session refreshes, and ad-hoc /v1/queries alike), so an
@@ -120,35 +125,47 @@ type db struct {
 }
 
 func newServerDB(execOpts ...qagview.QueryOption) *db {
-	return &db{db: qagview.NewDB(), gens: make(map[string]uint64), execOpts: execOpts}
+	return &db{cat: qagview.NewDB(), gens: make(map[string]uint64), execOpts: execOpts}
 }
 
-// register installs a relation and bumps its data generation. A non-nil
-// stage hook runs under the catalog lock right after the generation is
-// assigned — write-ahead-log staging, which must see generations in
-// assignment order — and returns a wait that runs after the lock drops;
-// registration only counts as durable once that wait returns nil. The
-// returned generation is valid either way (the caller may already have
-// applied the data in memory).
-func (d *db) register(r *qagview.Relation, stage func(gen uint64) func() error) (uint64, error) {
-	d.mu.Lock()
-	if err := d.db.Register(r); err != nil {
-		d.mu.Unlock()
+// snapshot returns the current catalog and generations; both are immutable.
+func (d *db) snapshot() (*qagview.DB, map[string]uint64) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.cat, d.gens
+}
+
+// installLocked publishes r in a copy of the catalog and returns its data
+// generation: the table's next one when gen is 0, otherwise gen (recovery
+// replay, which restores the generation a record was acknowledged with).
+// Generations never move backwards. The caller holds the write lock.
+func (d *db) installLocked(r *qagview.Relation, gen uint64) (uint64, error) {
+	cat := qagview.NewDB()
+	for _, name := range d.cat.Tables() {
+		t, _ := d.cat.Table(name)
+		_ = cat.Register(t)
+	}
+	if err := cat.Register(r); err != nil {
 		return 0, err
 	}
-	d.gens[r.Name()]++
-	g := d.gens[r.Name()]
-	var wait func() error
-	if stage != nil {
-		wait = stage(g)
+	gens := maps.Clone(d.gens)
+	if gen == 0 {
+		gen = gens[r.Name()] + 1
 	}
-	d.mu.Unlock()
-	if wait != nil {
-		if err := wait(); err != nil {
-			return g, fmt.Errorf("%w: %v", errDurability, err)
-		}
+	if gen > gens[r.Name()] {
+		gens[r.Name()] = gen
 	}
-	return g, nil
+	d.cat, d.gens = cat, gens
+	return gens[r.Name()], nil
+}
+
+// register installs a relation, replacing any table of the same name, and
+// bumps its data generation. stage behaves as in write.
+func (d *db) register(r *qagview.Relation, stage func(gen uint64) func() error) (uint64, error) {
+	if r == nil {
+		return 0, fmt.Errorf("nil relation")
+	}
+	return d.write(r.Name(), func(*qagview.DB) (*qagview.Relation, error) { return r, nil }, stage)
 }
 
 // restore installs a relation at an explicit data generation — recovery
@@ -157,83 +174,72 @@ func (d *db) register(r *qagview.Relation, stage func(gen uint64) func() error) 
 func (d *db) restore(r *qagview.Relation, gen uint64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.db.Register(r); err != nil {
-		return err
-	}
-	if gen > d.gens[r.Name()] {
-		d.gens[r.Name()] = gen
-	}
-	return nil
+	_, err := d.installLocked(r, gen)
+	return err
 }
 
 // update replaces the named table with fn's result and returns the new data
-// generation. The expensive part — fn's copy-on-write rebuild, O(table) per
-// append — runs outside the catalog lock against a snapshot, so queries are
-// never blocked behind it; the swap then re-checks the generation and
-// retries from the newer snapshot if a concurrent update won the race
-// (appends compose, so re-applying fn is correct, and each retry means
-// someone else made progress). A nil next from fn is a no-op: the table and
-// its generation stay untouched (an empty append must not mark every
-// session over the table stale). A non-nil stage hook behaves as in
-// register: staged under the lock in generation order, awaited outside it.
+// generation. fn runs under the catalog write lock, so it must be cheap: a
+// row append (Relation.Append) costs O(batch), and since queries hold the
+// lock only to take a snapshot, neither waits for the other's work. A nil
+// result from fn is a no-op: the table and its generation stay untouched (an
+// empty append must not mark every session over the table stale). stage
+// behaves as in write.
 func (d *db) update(name string, fn func(*qagview.Relation) (*qagview.Relation, error), stage func(gen uint64) func() error) (uint64, error) {
-	for {
-		d.mu.RLock()
-		rel, err := d.db.Table(name)
-		gen := d.gens[name]
-		d.mu.RUnlock()
+	return d.write(name, func(cat *qagview.DB) (*qagview.Relation, error) {
+		rel, err := cat.Table(name)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		next, err := fn(rel)
-		if err != nil {
-			return 0, err
-		}
-		if next == nil {
-			return gen, nil
-		}
-		d.mu.Lock()
-		if d.gens[name] != gen {
-			d.mu.Unlock()
-			continue // lost the race: rebuild from the newer snapshot
-		}
-		if err := d.db.Register(next); err != nil {
-			d.mu.Unlock()
-			return 0, err
-		}
-		d.gens[name]++
-		g := d.gens[name]
-		var wait func() error
-		if stage != nil {
+		return fn(rel)
+	}, stage)
+}
+
+// write installs next's result, computed from the current catalog under the
+// write lock, at the table's next data generation. A non-nil stage hook is
+// write-ahead logging: it must see generations in assignment order, so it
+// runs under the lock right after the generation is assigned, and it returns
+// a wait that runs after the lock drops. The write only counts as durable
+// once that wait returns nil; the returned generation is valid either way
+// (the data is applied in memory).
+func (d *db) write(name string, next func(*qagview.DB) (*qagview.Relation, error), stage func(gen uint64) func() error) (uint64, error) {
+	d.mu.Lock()
+	r, err := next(d.cat)
+	g := d.gens[name]
+	var wait func() error
+	if err == nil && r != nil {
+		g, err = d.installLocked(r, 0)
+		if err == nil && stage != nil {
 			wait = stage(g)
 		}
-		d.mu.Unlock()
-		if wait != nil {
-			if err := wait(); err != nil {
-				return g, fmt.Errorf("%w: %v", errDurability, err)
-			}
-		}
-		return g, nil
 	}
+	d.mu.Unlock()
+	if err != nil {
+		return 0, err
+	}
+	if wait != nil {
+		if err := wait(); err != nil {
+			return g, fmt.Errorf("%w: %v", errDurability, err)
+		}
+	}
+	return g, nil
 }
 
-// table returns the named relation under the read lock.
+// table returns the named relation.
 func (d *db) table(name string) (*qagview.Relation, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.db.Table(name)
+	cat, _ := d.snapshot()
+	return cat.Table(name)
 }
 
-// tableWithGen returns a relation together with its data generation, read
-// atomically so a checkpoint never pairs a table with a stale generation.
+// tableWithGen returns a relation together with its data generation, from
+// one snapshot, so a checkpoint never pairs a table with a stale generation.
 func (d *db) tableWithGen(name string) (*qagview.Relation, uint64, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	rel, err := d.db.Table(name)
+	cat, gens := d.snapshot()
+	rel, err := cat.Table(name)
 	if err != nil {
 		return nil, 0, err
 	}
-	return rel, d.gens[name], nil
+	return rel, gens[name], nil
 }
 
 // execOptions returns the catalog's query options, extended with ctx when
@@ -248,36 +254,35 @@ func (d *db) execOptions(ctx context.Context) []qagview.QueryOption {
 	return append(opts, qagview.ExecContext(ctx))
 }
 
+// query runs sql on a catalog snapshot, outside the lock.
 func (d *db) query(ctx context.Context, sql string, extra ...qagview.QueryOption) (*qagview.Result, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+	res, _, err := d.queryVersioned(ctx, sql, extra...)
+	return res, err
+}
+
+// queryVersioned runs sql on a catalog snapshot and reports the summed
+// generation of every FROM table in that snapshot. Tables and generations
+// come from the same snapshot, so the version labels exactly the data the
+// query read, and the query runs after the lock is released.
+func (d *db) queryVersioned(ctx context.Context, sql string, extra ...qagview.QueryOption) (*qagview.Result, uint64, error) {
+	cat, gens := d.snapshot()
 	opts := d.execOptions(ctx)
 	if len(extra) > 0 {
 		// Full-slice append: execOptions may return the shared base slice.
 		opts = append(opts[:len(opts):len(opts)], extra...)
 	}
-	return d.db.Query(sql, opts...)
-}
-
-// queryVersioned runs sql and reports the summed generation of every FROM
-// table as of (at latest) the start of the query, under one read lock so no
-// append can slip between the generation read and the scan.
-func (d *db) queryVersioned(ctx context.Context, sql string) (*qagview.Result, uint64, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	res, err := d.db.Query(sql, d.execOptions(ctx)...)
+	res, err := cat.Query(sql, opts...)
 	if err != nil {
 		return nil, 0, err
 	}
-	return res, d.genSumLocked(res.Tables), nil
+	return res, genSum(gens, res.Tables), nil
 }
 
 // generation returns the table's current data generation (0 for unknown
 // tables).
 func (d *db) generation(table string) uint64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.gens[table]
+	_, gens := d.snapshot()
+	return gens[table]
 }
 
 // generationSum sums the data generations of the given tables. Each
@@ -285,23 +290,21 @@ func (d *db) generation(table string) uint64 {
 // staleness clock for a session reading all of them: any append to any
 // joined table moves it forward.
 func (d *db) generationSum(tables []string) uint64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.genSumLocked(tables)
+	_, gens := d.snapshot()
+	return genSum(gens, tables)
 }
 
-func (d *db) genSumLocked(tables []string) uint64 {
+func genSum(gens map[string]uint64, tables []string) uint64 {
 	var sum uint64
 	for _, t := range tables {
-		sum += d.gens[t]
+		sum += gens[t]
 	}
 	return sum
 }
 
 func (d *db) tables() []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.db.Tables()
+	cat, _ := d.snapshot()
+	return cat.Tables()
 }
 
 // Server is the qagviewd HTTP service.

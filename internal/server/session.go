@@ -254,10 +254,9 @@ func (m *sessionManager) open(ctx context.Context, db *db, sql string, l, kMin, 
 // duplicate singleflight callers share the first caller's fate); the
 // background sweep runs under its own cancel-on-eviction context.
 func (m *sessionManager) build(ctx context.Context, db *db, id, sql string, l, kMin, kMax int, ds []int) (*session, error) {
-	// Read the table generation before running the query: if an append races
-	// in between, the view is labeled older than the data it may contain and
-	// the first read triggers a refresh that diffs to a no-op — never the
-	// other way around (stale data labeled fresh).
+	// The query and the generation come from one catalog snapshot, so the
+	// view is labeled with exactly the data it read; an append after the
+	// snapshot makes the first read refresh.
 	res, gen, err := db.queryVersioned(ctx, sql)
 	if err != nil {
 		return nil, err
