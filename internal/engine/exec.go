@@ -170,35 +170,66 @@ func execute(cat Catalog, q *Query, cfg execConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	pSt := cfg.prof.op("plan")
-	t0 := profNow(pSt)
-	_, psp := obs.StartSpan(cfg.ctx, "plan")
-	p, err := planQuery(rel, q)
-	psp.End()
-	pSt.addWall(t0)
+	p, vp, err := planOp(cfg, q, []*relation.Relation{rel}, rel.Name(),
+		func(name string) (colRef, bool) { return lookupCol(rel, q, name) })
 	if err != nil {
 		return nil, err
 	}
 	if cfg.reference {
-		return executeProfiledRef(p, cfg)
+		return executeProfiledRef(p, nil, cfg)
 	}
-	return executeVec(p, cfg)
+	return executeVec(vp, cfg)
+}
+
+// planOp runs the "plan" operator: it resolves the aggregation against the
+// FROM relations and, for the vectorized pipeline, the group columns'
+// base-table dictionary codes. The first query over a new or recovered
+// table builds those dictionaries here, so profiles and traces attribute
+// the cost; rows_in is the row count the dictionaries cover, summed over
+// the group columns.
+func planOp(cfg execConfig, q *Query, rels []*relation.Relation, from string, lookup func(string) (colRef, bool)) (*execPlan, *vecPlan, error) {
+	st := cfg.prof.op("plan")
+	t0 := profNow(st)
+	_, sp := obs.StartSpan(cfg.ctx, "plan")
+	p, err := planQuery(q, rels, from, lookup)
+	var vp *vecPlan
+	if err == nil && !cfg.reference {
+		vp = newVecPlan(p)
+		var rows int64
+		for _, g := range p.groupCols {
+			rows += int64(rels[g.tab].NumRows())
+		}
+		st.addRows(rows, 0)
+		sp.SetInt("rows_in", rows)
+	}
+	sp.End()
+	st.addWall(t0)
+	return p, vp, err
 }
 
 // executeProfiledRef runs the reference executor, reporting it as a
 // single opaque operator when profiling (the row-at-a-time oracle has no
 // vectorized operator structure to expose).
-func executeProfiledRef(p *execPlan, cfg execConfig) (*Result, error) {
+func executeProfiledRef(p *execPlan, tuples [][]int32, cfg execConfig) (*Result, error) {
 	st := cfg.prof.op("reference")
 	t0 := profNow(st)
 	_, sp := obs.StartSpan(cfg.ctx, "reference")
-	res, err := executeRef(p)
+	res, err := executeRef(p, tuples)
 	sp.End()
 	st.addWall(t0)
 	if err == nil {
-		st.addRows(int64(p.rel.NumRows()), int64(len(res.Rows)))
+		st.addRows(int64(inputRows(p, tuples)), int64(len(res.Rows)))
 	}
 	return res, err
+}
+
+// inputRows is the aggregation's input size: the join's tuple count, or the
+// single table's row count when tuples is nil.
+func inputRows(p *execPlan, tuples [][]int32) int {
+	if tuples == nil {
+		return p.rels[0].NumRows()
+	}
+	return len(tuples[0])
 }
 
 // ExecuteSQL parses and runs sql against the catalog.
@@ -210,90 +241,99 @@ func ExecuteSQL(cat Catalog, sql string, opts ...ExecOption) (*Result, error) {
 	return Execute(cat, q, opts...)
 }
 
-// predBind is a WHERE conjunct resolved against a column, ready for either
-// executor to compile (closures for the reference, batch kernels for the
-// vectorized pipeline).
+// colRef is a column reference resolved to a base column: column idx of
+// FROM table tab. name is the spelling type errors quote — the base column
+// name on single-table queries, the exact reference text on joins.
+type colRef struct {
+	tab, idx int
+	col      *relation.Column
+	name     string
+}
+
+// predBind is a WHERE conjunct resolved against a base column, ready for
+// either executor to compile (closures for the reference, batch kernels
+// for the vectorized pipeline).
 type predBind struct {
+	tab int // FROM position of col's table
 	col *relation.Column
 	op  CmpOp
 	lit Literal
 }
 
-// execPlan is a query resolved and validated against one relation: both
-// executors run from the same plan, so they accept and reject exactly the
-// same queries with the same errors.
+// execPlan is a query resolved and validated against its FROM relations:
+// every executor and join path runs from the same plan, so they accept and
+// reject exactly the same queries with the same errors.
 type execPlan struct {
-	rel        *relation.Relation
+	rels       []*relation.Relation // FROM order; one entry for a single-table query
 	q          *Query
-	groupCols  []*relation.Column
-	aggCol     *relation.Column   // nil for count(*)
-	havingCols []*relation.Column // nil entries are count(*)
+	groupCols  []colRef
+	aggCol     colRef   // col nil for count(*)
+	havingCols []colRef // col nil for count(*)
 	preds      []predBind
 }
 
-// lookupCol resolves a (possibly qualified) column reference against the
-// plan's relation. Materialized join relations name their columns with the
-// query's exact reference text, so the direct probe hits; for single-table
-// queries a qualifier naming the FROM table (or its alias) is stripped.
-func lookupCol(rel *relation.Relation, q *Query, name string) (*relation.Column, bool) {
-	if c, ok := rel.ColumnByName(name); ok {
-		return c, true
+// lookupCol resolves a (possibly qualified) column reference on a
+// single-table query; a qualifier naming the FROM table (or its alias) is
+// stripped.
+func lookupCol(rel *relation.Relation, q *Query, name string) (colRef, bool) {
+	idx := rel.ColumnIndex(name)
+	if i := strings.IndexByte(name, '.'); idx < 0 && i >= 0 && name[:i] == q.From().Name() {
+		idx = rel.ColumnIndex(name[i+1:])
 	}
-	if len(q.Joins) > 0 {
-		return nil, false
+	if idx < 0 {
+		return colRef{}, false
 	}
-	if i := strings.IndexByte(name, '.'); i >= 0 && name[:i] == q.From().Name() {
-		return rel.ColumnByName(name[i+1:])
-	}
-	return nil, false
+	c := rel.Column(idx)
+	return colRef{idx: idx, col: c, name: c.Name}, true
 }
 
-// planQuery resolves the query's columns and validates types.
-func planQuery(rel *relation.Relation, q *Query) (*execPlan, error) {
-	p := &execPlan{rel: rel, q: q}
-	p.groupCols = make([]*relation.Column, len(q.GroupBy))
+// planQuery resolves the query's columns through lookup and validates
+// types; from names the FROM clause in resolution errors.
+func planQuery(q *Query, rels []*relation.Relation, from string, lookup func(string) (colRef, bool)) (*execPlan, error) {
+	p := &execPlan{rels: rels, q: q}
+	p.groupCols = make([]colRef, len(q.GroupBy))
 	for i, name := range q.GroupBy {
-		c, ok := lookupCol(rel, q, name)
+		c, ok := lookup(name)
 		if !ok {
-			return nil, fmt.Errorf("engine: unknown group-by column %q in table %q", name, rel.Name())
+			return nil, fmt.Errorf("engine: unknown group-by column %q in table %q", name, from)
 		}
 		p.groupCols[i] = c
 	}
 	if q.Agg.Arg != "*" {
-		c, ok := lookupCol(rel, q, q.Agg.Arg)
+		c, ok := lookup(q.Agg.Arg)
 		if !ok {
-			return nil, fmt.Errorf("engine: unknown aggregate column %q in table %q", q.Agg.Arg, rel.Name())
+			return nil, fmt.Errorf("engine: unknown aggregate column %q in table %q", q.Agg.Arg, from)
 		}
-		if c.Kind == relation.KindString {
+		if c.col.Kind == relation.KindString {
 			// count(textcol) is rejected too: this dialect has no NULLs, so it
 			// could only mean count(*) — and letting it through would make the
 			// executors gather float values from a text column.
-			return nil, fmt.Errorf("engine: aggregate %s over text column %q (use count(*) to count rows)", q.Agg.Fn, c.Name)
+			return nil, fmt.Errorf("engine: aggregate %s over text column %q (use count(*) to count rows)", q.Agg.Fn, c.name)
 		}
 		p.aggCol = c
 	} else if q.Agg.Fn != AggCount {
 		return nil, fmt.Errorf("engine: %s(*) is not supported", q.Agg.Fn)
 	}
 	for _, pr := range q.Where {
-		c, ok := lookupCol(rel, q, pr.Column)
+		c, ok := lookup(pr.Column)
 		if !ok {
-			return nil, fmt.Errorf("engine: unknown WHERE column %q in table %q", pr.Column, rel.Name())
+			return nil, fmt.Errorf("engine: unknown WHERE column %q in table %q", pr.Column, from)
 		}
 		if pr.Lit.IsNum {
-			if c.Kind == relation.KindString {
-				return nil, fmt.Errorf("engine: numeric comparison against text column %q", c.Name)
+			if c.col.Kind == relation.KindString {
+				return nil, fmt.Errorf("engine: numeric comparison against text column %q", c.name)
 			}
 		} else {
-			if c.Kind != relation.KindString {
-				return nil, fmt.Errorf("engine: string comparison against %s column %q", c.Kind, c.Name)
+			if c.col.Kind != relation.KindString {
+				return nil, fmt.Errorf("engine: string comparison against %s column %q", c.col.Kind, c.name)
 			}
 			if pr.Op != OpEq && pr.Op != OpNe {
-				return nil, fmt.Errorf("engine: operator %s is not supported for text column %q", pr.Op, c.Name)
+				return nil, fmt.Errorf("engine: operator %s is not supported for text column %q", pr.Op, c.name)
 			}
 		}
-		p.preds = append(p.preds, predBind{col: c, op: pr.Op, lit: pr.Lit})
+		p.preds = append(p.preds, predBind{tab: c.tab, col: c.col, op: pr.Op, lit: pr.Lit})
 	}
-	p.havingCols = make([]*relation.Column, len(q.Having))
+	p.havingCols = make([]colRef, len(q.Having))
 	for i, h := range q.Having {
 		if h.Agg.Arg == "*" {
 			if h.Agg.Fn != AggCount {
@@ -301,12 +341,12 @@ func planQuery(rel *relation.Relation, q *Query) (*execPlan, error) {
 			}
 			continue
 		}
-		c, ok := lookupCol(rel, q, h.Agg.Arg)
+		c, ok := lookup(h.Agg.Arg)
 		if !ok {
 			return nil, fmt.Errorf("engine: unknown HAVING column %q", h.Agg.Arg)
 		}
-		if c.Kind == relation.KindString {
-			return nil, fmt.Errorf("engine: aggregate %s over text column %q in HAVING (use count(*) to count rows)", h.Agg.Fn, c.Name)
+		if c.col.Kind == relation.KindString {
+			return nil, fmt.Errorf("engine: aggregate %s over text column %q in HAVING (use count(*) to count rows)", h.Agg.Fn, c.name)
 		}
 		p.havingCols[i] = c
 	}
@@ -317,10 +357,13 @@ func planQuery(rel *relation.Relation, q *Query) (*execPlan, error) {
 }
 
 // executeRef is the row-at-a-time reference executor: per-row predicate
-// closures, a rendered string key per row, and a Go map of group states. The
-// vectorized pipeline (executeVec) is proven bit-identical to it; it stays as
-// the differential-testing oracle, per the playbook of PRs 2 and 3.
-func executeRef(p *execPlan) (*Result, error) {
+// closures, a rendered string key per row, and a Go map of group states.
+// Its input rows are the join's tuples in canonical order, or the single
+// table's rows when tuples is nil; WHERE runs here, after the join. The
+// vectorized pipeline (executeVec) — base-table dictionary codes, WHERE
+// pushed below the join — is proven bit-identical to it; it stays as the
+// differential-testing oracle.
+func executeRef(p *execPlan, tuples [][]int32) (*Result, error) {
 	q := p.q
 	preds := compilePredicates(p.preds)
 
@@ -330,10 +373,19 @@ func executeRef(p *execPlan) (*Result, error) {
 	groups := make(map[string]*aggState)
 	var order []string // group keys in first-seen order, for determinism
 	var kb []byte      // reused key scratch
-	for row := 0; row < p.rel.NumRows(); row++ {
+	// cur holds the input row's base row per FROM table.
+	cur := make([]int, len(p.rels))
+	for row := 0; row < inputRows(p, tuples); row++ {
+		for t := range cur {
+			if tuples == nil {
+				cur[t] = row
+			} else {
+				cur[t] = int(tuples[t][row])
+			}
+		}
 		match := true
-		for _, pr := range preds {
-			if !pr(row) {
+		for k, pr := range preds {
+			if !pr(cur[p.preds[k].tab]) {
 				match = false
 				break
 			}
@@ -343,7 +395,7 @@ func executeRef(p *execPlan) (*Result, error) {
 		}
 		kb = kb[:0]
 		for _, c := range p.groupCols {
-			s := c.StringAt(row)
+			s := c.col.StringAt(cur[c.tab])
 			kb = binary.AppendUvarint(kb, uint64(len(s)))
 			kb = append(kb, s...)
 		}
@@ -351,7 +403,7 @@ func executeRef(p *execPlan) (*Result, error) {
 		if !ok {
 			vals := make([]string, len(p.groupCols))
 			for i, c := range p.groupCols {
-				vals[i] = c.StringAt(row)
+				vals[i] = c.col.StringAt(cur[c.tab])
 			}
 			st = &aggState{
 				row:  vals,
@@ -371,8 +423,8 @@ func executeRef(p *execPlan) (*Result, error) {
 			order = append(order, key)
 		}
 		st.cnt++
-		if p.aggCol != nil {
-			v, err := p.aggCol.FloatAt(row)
+		if c := p.aggCol; c.col != nil {
+			v, err := c.col.FloatAt(cur[c.tab])
 			if err != nil {
 				return nil, err
 			}
@@ -384,12 +436,12 @@ func executeRef(p *execPlan) (*Result, error) {
 				st.max = v
 			}
 		}
-		for i := range q.Having {
-			if p.havingCols[i] == nil {
+		for i, c := range p.havingCols {
+			if c.col == nil {
 				st.hcnt[i]++
 				continue
 			}
-			v, err := p.havingCols[i].FloatAt(row)
+			v, err := c.col.FloatAt(cur[c.tab])
 			if err != nil {
 				return nil, err
 			}

@@ -203,6 +203,16 @@ func FuzzExec(f *testing.F) {
 		"select w1, w4, w7, w10, w2, w5, w8, w11, w0, w3, w6, avg(w9) as v from wide where w9 > 3 group by w1, w4, w7, w10, w2, w5, w8, w11, w0, w3, w6 having count(*) > 0 order by v desc limit 5",
 		"select x.w0, y.w11, count(*) as c from wide x join wide y on x.w0 = y.w0 and x.w1 = y.w1 and x.w2 = y.w2 and x.w3 = y.w3 and x.w4 = y.w4 and x.w5 = y.w5 and x.w6 = y.w6 and x.w7 = y.w7 and x.w8 = y.w8 and x.w9 = y.w9 and x.w10 = y.w10 group by x.w0, y.w11 order by c desc",
 		"select x.w2, sum(z.w3) as v from wide x join wide y on x.w11 = y.w11 and x.w10 = y.w10 and x.w9 = y.w9 and x.w8 = y.w8 and x.w7 = y.w7 and x.w6 = y.w6 and x.w5 = y.w5 and x.w4 = y.w4 and x.w3 = y.w3 and x.w2 = y.w2 and x.w1 = y.w1 join wide z on y.w1 = z.w1 group by x.w2 order by v desc",
+		// WHERE pushed below the join: on a build-side table, on join-key
+		// columns (text, and the float keys with NaN and -0 on both sides),
+		// selecting no row of one table, and on a cyclic join so the
+		// leapfrog tries see selections.
+		"select region, gender, avg(rating) as v from t join dim on t.a = dim.a where region = 'east' group by region, gender order by v desc",
+		"select region, count(*) as c from t join dim on t.a = dim.a where dim.a <> 'x' and t.a <> '' group by region order by c desc",
+		"select stars, gender, sum(t.rating) as v from t join fdim on t.rating = fdim.rating where fdim.rating <> 5 group by stars, gender order by v desc",
+		"select stars, count(*) as c from t join fdim on t.rating = fdim.rating where t.rating = 0 and fdim.rating <= 0 group by stars",
+		"select region, count(*) as c from t join dim on t.a = dim.a where region = 'nowhere' group by region",
+		"select e1.src, e2.dst, count(*) as c from edges e1 join edges e2 on e1.dst = e2.src join edges e3 on e2.dst = e3.src and e3.dst = e1.src where e2.src > 1 and e3.dst <> 4 group by e1.src, e2.dst order by c desc",
 	}
 	for _, s := range seeds {
 		f.Add(s)

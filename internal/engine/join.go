@@ -14,21 +14,29 @@ import (
 	"qagview/internal/relation"
 )
 
-// This file implements multi-table execution. A join query runs in three
+// This file implements multi-table execution. A join query runs in four
 // stages: planJoin resolves the FROM relations, ON conditions and column
-// references (producing every name-resolution error); a join algorithm
-// computes the matching row-id tuples in the canonical order — lexicographic
-// by FROM-position row ids, the order the nested-loop reference produces
-// naturally; and materialize gathers the referenced columns into an
-// anonymous joined relation that the unchanged single-table executors
-// aggregate over. Three algorithms produce the same tuples bit-identically:
+// references (producing every name-resolution error) and planQuery
+// resolves the aggregation onto base columns; the optimized paths evaluate
+// every WHERE conjunct on its own base table (each is `column op literal`
+// on one FROM table), producing ascending selection vectors; a join
+// algorithm computes the matching row-id tuples — one row-id column per
+// FROM position — in the canonical order, lexicographic by FROM-position
+// row ids, the order the nested-loop reference produces naturally; and the
+// vectorized pipeline aggregates straight off those row-id columns, reading
+// group keys from the base tables' cached dictionary codes (vexec.go).
+// Three algorithms produce the same tuples bit-identically:
 //
-//   - nestedLoopTuples: FROM-order nested loops, the reference oracle;
-//   - hashTuples: a left-deep binary hash-join plan with a morsel-parallel
-//     probe (the default for acyclic join graphs);
-//   - leapfrogTuples (wcoj.go): the worst-case-optimal generic join (the
-//     default for cyclic graphs, where binary plans can materialize
-//     asymptotically larger intermediates).
+//   - nestedLoopTuples: FROM-order nested loops over every row, the
+//     reference oracle; the reference executor applies WHERE after it;
+//   - hashTuples: a left-deep binary hash-join plan over the selected rows,
+//     with a morsel-parallel probe (the default for acyclic join graphs);
+//   - leapfrogTuples (wcoj.go): the worst-case-optimal generic join over
+//     tries of the selected rows (the default for cyclic graphs, where
+//     binary plans can materialize asymptotically larger intermediates).
+//
+// Selections keep row ids ascending, so a join over them emits exactly the
+// reference's filtered tuples in the same order.
 //
 // Join keys use value identity per equivalence class of equated columns:
 // text classes compare strings, all-int classes compare exact int64s, and
@@ -72,14 +80,6 @@ func (c *boundCond) match(lrow, rrow int32) bool {
 	}
 }
 
-// joinRef is one distinct column reference the aggregation reads, in
-// first-use order; its name is the exact reference text, which becomes the
-// materialized column name planQuery resolves against.
-type joinRef struct {
-	name     string
-	tab, col int
-}
-
 // joinPlan is a multi-table query resolved and validated against the
 // catalog.
 type joinPlan struct {
@@ -88,7 +88,7 @@ type joinPlan struct {
 	names  []string             // display name per FROM entry (alias or table)
 	conds  []boundCond          // all ON conjuncts, clause order
 	steps  [][]int              // conds evaluated when joining table i+1
-	refs   []joinRef
+	refs   []colRef             // distinct column references, first-use order
 	cyclic bool
 
 	// Variable classes (connected components of equated columns), filled by
@@ -357,19 +357,18 @@ func (jp *joinPlan) computeCyclic() bool {
 }
 
 // collectRefs resolves every column reference the aggregation reads, in
-// first-use order, deduplicated by reference text.
+// first-use order, deduplicated by reference text, so name-resolution
+// errors precede planQuery's type errors.
 func (jp *joinPlan) collectRefs() error {
-	seen := make(map[string]bool)
 	add := func(ref string) error {
-		if ref == "" || ref == "*" || seen[ref] {
+		if _, ok := jp.lookupRef(ref); ok || ref == "" || ref == "*" {
 			return nil
 		}
 		t, c, err := jp.resolveRef(ref, len(jp.rels))
 		if err != nil {
 			return err
 		}
-		seen[ref] = true
-		jp.refs = append(jp.refs, joinRef{name: ref, tab: t, col: c})
+		jp.refs = append(jp.refs, colRef{tab: t, idx: c, col: jp.rels[t].Column(c), name: ref})
 		return nil
 	}
 	for _, g := range jp.q.GroupBy {
@@ -393,52 +392,15 @@ func (jp *joinPlan) collectRefs() error {
 	return nil
 }
 
-func (jp *joinPlan) joinedName() string { return strings.Join(jp.names, "+") }
-
-// schemaRel is the joined relation's shape with zero rows, used to validate
-// the aggregation before paying for the join.
-func (jp *joinPlan) schemaRel() (*relation.Relation, error) {
-	cols := make([]relation.Column, len(jp.refs))
-	for i, rf := range jp.refs {
-		cols[i] = relation.Column{Name: rf.name, Kind: jp.rels[rf.tab].Column(rf.col).Kind}
-	}
-	return relation.FromColumns(jp.joinedName(), cols...)
-}
-
-// materialize gathers the referenced columns through the row-id tuples into
-// the anonymous joined relation the aggregation runs over. Column names are
-// the exact reference texts, so planQuery resolves them by direct lookup.
-func (jp *joinPlan) materialize(tuples [][]int32) (*relation.Relation, error) {
-	n := 0
-	if len(tuples) > 0 {
-		n = len(tuples[0])
-	}
-	cols := make([]relation.Column, len(jp.refs))
-	for i, rf := range jp.refs {
-		src := jp.rels[rf.tab].Column(rf.col)
-		rows := tuples[rf.tab]
-		switch src.Kind {
-		case relation.KindString:
-			vals := make([]string, n)
-			for k, r := range rows {
-				vals[k] = src.Str[r]
-			}
-			cols[i] = relation.StringCol(rf.name, vals)
-		case relation.KindInt:
-			vals := make([]int64, n)
-			for k, r := range rows {
-				vals[k] = src.Int[r]
-			}
-			cols[i] = relation.IntCol(rf.name, vals)
-		default:
-			vals := make([]float64, n)
-			for k, r := range rows {
-				vals[k] = src.Float[r]
-			}
-			cols[i] = relation.FloatCol(rf.name, vals)
+// lookupRef returns the resolved column of a reference text collectRefs
+// saw; type errors quote that text.
+func (jp *joinPlan) lookupRef(ref string) (colRef, bool) {
+	for _, rf := range jp.refs {
+		if rf.name == ref {
+			return rf, true
 		}
 	}
-	return relation.FromColumns(jp.joinedName(), cols...)
+	return colRef{}, false
 }
 
 // executeJoin plans and runs a multi-table query end to end.
@@ -453,17 +415,14 @@ func executeJoin(cat Catalog, q *Query, cfg execConfig) (*Result, error) {
 	t0 := profNow(plSt)
 	_, psp := obs.StartSpan(cfg.ctx, "join.plan")
 	jp, err := planJoin(cat, q)
-	if err == nil {
-		// Validate the aggregation against the join's output schema before
-		// paying for the join: planQuery over the zero-row shape surfaces
-		// type and ORDER BY errors up front, identically on every path.
-		var srel *relation.Relation
-		if srel, err = jp.schemaRel(); err == nil {
-			_, err = planQuery(srel, q)
-		}
-	}
 	psp.End()
 	plSt.addWall(t0)
+	if err != nil {
+		return nil, err
+	}
+	// Plan the aggregation before paying for the join: type and ORDER BY
+	// errors surface up front, identically on every path.
+	p, vp, err := planOp(cfg, q, jp.rels, strings.Join(jp.names, "+"), jp.lookupRef)
 	if err != nil {
 		return nil, err
 	}
@@ -472,41 +431,56 @@ func executeJoin(cat Catalog, q *Query, cfg execConfig) (*Result, error) {
 	case cfg.reference:
 		tuples, err = jp.tuplesOp(cfg, "join.nestedloop", jp.nestedLoopTuples)
 	case cfg.joins == joinGeneric || (cfg.joins == joinAuto && jp.cyclic):
-		tuples, err = jp.tuplesOp(cfg, "join.leapfrog", jp.leapfrogTuples)
+		sels := p.selections(cfg)
+		tuples, err = jp.tuplesOp(cfg, "join.leapfrog", func(ctx context.Context) ([][]int32, error) {
+			return jp.leapfrogTuples(ctx, sels)
+		})
 	default:
-		tuples, err = jp.hashTuples(cfg)
+		tuples, err = jp.hashTuples(cfg, p.selections(cfg))
 	}
 	if err != nil {
 		return nil, err
 	}
-	mSt := cfg.prof.op("join.materialize")
-	t1 := profNow(mSt)
-	_, msp := obs.StartSpan(cfg.ctx, "join.materialize")
-	jrel, err := jp.materialize(tuples)
-	msp.End()
-	mSt.addWall(t1)
-	if err != nil {
-		return nil, err
-	}
-	nTuples := 0
-	if len(tuples) > 0 {
-		nTuples = len(tuples[0])
-	}
-	mSt.addRows(int64(nTuples), int64(jrel.NumRows()))
-	msp.SetInt("rows", int64(jrel.NumRows()))
-	pSt := cfg.prof.op("plan")
-	t2 := profNow(pSt)
-	_, qsp := obs.StartSpan(cfg.ctx, "plan")
-	p, err := planQuery(jrel, q)
-	qsp.End()
-	pSt.addWall(t2)
-	if err != nil {
-		return nil, err
-	}
+	assertJoinTuples(tuples, jp.rels)
 	if cfg.reference {
-		return executeProfiledRef(p, cfg)
+		return executeProfiledRef(p, tuples, cfg)
 	}
-	return executeVec(p, cfg)
+	vp.tuples = tuples
+	return executeVec(vp, cfg)
+}
+
+// selections pushes WHERE below the join: it evaluates every conjunct on
+// its base table with the filter kernels, under a "join.filter" operator.
+// sels[t] lists the passing rows of FROM table t, ascending; it is nil when
+// no conjunct reads t (every row passes) and non-nil, possibly empty,
+// otherwise.
+func (p *execPlan) selections(cfg execConfig) [][]int32 {
+	sels := make([][]int32, len(p.rels))
+	if len(p.preds) == 0 {
+		return sels
+	}
+	st := cfg.prof.op("join.filter")
+	t0 := profNow(st)
+	_, sp := obs.StartSpan(cfg.ctx, "join.filter")
+	var in, out int64
+	for _, pb := range p.preds {
+		if sels[pb.tab] == nil {
+			n := p.rels[pb.tab].NumRows()
+			in += int64(n)
+			sels[pb.tab] = filterRange(pb, 0, int32(n), []int32{})
+		} else {
+			sels[pb.tab] = filterSel(pb, sels[pb.tab])
+		}
+	}
+	for _, sel := range sels {
+		out += int64(len(sel))
+	}
+	sp.SetInt("rows_in", in)
+	sp.SetInt("rows_out", out)
+	sp.End()
+	st.addWall(t0)
+	st.addRows(in, out)
+	return sels
 }
 
 // tuplesOp runs one whole-join tuple producer (the nested-loop reference
@@ -659,20 +633,24 @@ func buildJoinCodes(rel *relation.Relation, col int, kind joinKeyKind) ([]int32,
 }
 
 // hashTuples runs the left-deep binary plan: tuples over the first table
-// start as its ascending row ids, and every JOIN step builds a key table
-// over the new table keyed by its ON columns' join codes, packed by a
-// pattern.Codec over the codes' cardinalities, and probes it with the
-// current tuples, morsel-parallel with a shard-ordered merge. Probing
-// tuples in order and listing each key's build rows ascending keeps the
-// output in canonical lexicographic order at every worker count.
-func (jp *joinPlan) hashTuples(cfg execConfig) ([][]int32, error) {
-	base := make([]int32, jp.rels[0].NumRows())
-	for i := range base {
-		base[i] = int32(i)
+// start as its ascending selected row ids, and every JOIN step builds a
+// key table over the new table's selected rows keyed by its ON columns'
+// join codes, packed by a pattern.Codec over the codes' cardinalities, and
+// probes it with the current tuples, morsel-parallel with a shard-ordered
+// merge. Probing tuples in order and listing each key's build rows
+// ascending keeps the output in canonical lexicographic order at every
+// worker count.
+func (jp *joinPlan) hashTuples(cfg execConfig, sels [][]int32) ([][]int32, error) {
+	base := sels[0]
+	if base == nil {
+		base = make([]int32, jp.rels[0].NumRows())
+		for i := range base {
+			base[i] = int32(i)
+		}
 	}
 	cur := [][]int32{base}
 	for step := range jp.steps {
-		next, err := jp.hashStep(cur, step, cfg)
+		next, err := jp.hashStep(cur, step, sels[step+1], cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -681,7 +659,9 @@ func (jp *joinPlan) hashTuples(cfg execConfig) ([][]int32, error) {
 	return cur, nil
 }
 
-func (jp *joinPlan) hashStep(cur [][]int32, step int, cfg execConfig) ([][]int32, error) {
+// hashStep joins the current tuples with FROM table step+1, inserting only
+// its rows in sel (every row when sel is nil).
+func (jp *joinPlan) hashStep(cur [][]int32, step int, sel []int32, cfg execConfig) ([][]int32, error) {
 	newT := step + 1
 	nProbe := len(cur[0])
 	if nProbe == 0 {
@@ -727,12 +707,21 @@ func (jp *joinPlan) hashStep(cur [][]int32, step int, cfg execConfig) ([][]int32
 		probeTab[k] = c.lt
 	}
 
-	// Build table: every build row's key gets a dense key id, and the rows
-	// are counting-sorted by key id. Rows are scanned ascending, so every
-	// key's row list rows[start[g]:start[g+1]] is ascending and probe output
-	// stays in canonical order.
+	// Build table: every selected build row's key gets a dense key id, and
+	// the rows are counting-sorted by key id. Rows are scanned ascending, so
+	// every key's row list rows[start[g]:start[g+1]] is ascending and probe
+	// output stays in canonical order.
 	codec := pattern.NewCodec(cards)
 	nb := build.NumRows()
+	if sel != nil {
+		nb = len(sel)
+	}
+	buildRow := func(k int) int32 {
+		if sel == nil {
+			return int32(k)
+		}
+		return sel[k]
+	}
 	// The build side has at most min(nb, Π cards) distinct keys.
 	distinct := 1
 	for _, c := range cards {
@@ -745,12 +734,13 @@ func (jp *joinPlan) hashStep(cur [][]int32, step int, cfg execConfig) ([][]int32
 	key := make([]uint64, codec.Words())
 	tup := make(pattern.Pattern, nc)
 	keyOf := make([]int32, nb)
-	for r := 0; r < nb; r++ {
+	for i := range keyOf {
+		r := buildRow(i)
 		for k := range codes {
 			tup[k] = codes[k][r]
 		}
 		codec.Pack(tup, key)
-		keyOf[r], _ = keys.Insert(key, int32(keys.Len()))
+		keyOf[i], _ = keys.Insert(key, int32(keys.Len()))
 	}
 	start := make([]int32, keys.Len()+1)
 	for _, g := range keyOf {
@@ -761,8 +751,8 @@ func (jp *joinPlan) hashStep(cur [][]int32, step int, cfg execConfig) ([][]int32
 	}
 	rows := make([]int32, nb)
 	fill := append([]int32(nil), start[:keys.Len()]...)
-	for r, g := range keyOf {
-		rows[fill[g]] = int32(r)
+	for i, g := range keyOf {
+		rows[fill[g]] = buildRow(i)
 		fill[g]++
 	}
 
@@ -804,83 +794,77 @@ func (jp *joinPlan) hashStep(cur [][]int32, step int, cfg execConfig) ([][]int32
 		return dst
 	}
 
+	// Each morsel probes into its own output, sized for its probe count;
+	// workers pull morsels off a shared counter, mirroring vexec's runPar.
 	nM := (nProbe + morselRows - 1) / morselRows
-	workers := cfg.par
-	if workers > nM {
-		workers = nM
-	}
-	if workers <= 1 {
-		dst := make([][]int32, newT+1)
-		for m := 0; m < nM; m++ {
-			if cfg.ctx != nil && cfg.ctx.Err() != nil {
-				psp.End()
-				return nil, cfg.ctx.Err()
-			}
-			lo := m * morselRows
-			hi := min(lo+morselRows, nProbe)
-			t0 := profNow(prSt)
-			before := len(dst[newT])
-			dst = probe(lo, hi, dst)
-			prSt.observe(int64(hi-lo), int64(len(dst[newT])-before), t0)
-		}
-		psp.SetInt("tuples", int64(len(dst[newT])))
-		psp.End()
-		return dst, nil
-	}
-
-	// Morsel-parallel probe, mirroring vexec's runPar: workers pull probe
-	// morsels off a shared counter, the merge consumes them strictly in
-	// shard order — concatenation order, and therefore the tuple order, is
-	// identical at every worker count.
 	results := make([][][]int32, nM)
-	done := make([]chan struct{}, nM)
-	for i := range done {
-		done[i] = make(chan struct{})
+	probeMorsel := func(i int) {
+		lo := i * morselRows
+		hi := min(lo+morselRows, nProbe)
+		t0 := profNow(prSt)
+		out := probe(lo, hi, sizedTuples(newT+1, hi-lo))
+		prSt.observe(int64(hi-lo), int64(len(out[newT])), t0)
+		results[i] = out
 	}
-	var next atomic.Int64
 	var cancelled atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= nM {
-					return
-				}
-				if cfg.ctx != nil && cfg.ctx.Err() != nil {
-					cancelled.Store(true)
-					close(done[i])
-					continue
-				}
-				lo := i * morselRows
-				hi := min(lo+morselRows, nProbe)
-				t0 := profNow(prSt)
-				out := probe(lo, hi, make([][]int32, newT+1))
-				prSt.observe(int64(hi-lo), int64(len(out[newT])), t0)
-				results[i] = out
-				close(done[i])
+	if workers := min(cfg.par, nM); workers <= 1 {
+		for i := 0; i < nM; i++ {
+			if cfg.ctx != nil && cfg.ctx.Err() != nil {
+				cancelled.Store(true)
+				break
 			}
-		}()
-	}
-	out := make([][]int32, newT+1)
-	for i := 0; i < nM; i++ {
-		<-done[i]
-		if results[i] == nil {
-			continue // claimed after cancellation
+			probeMorsel(i)
 		}
-		if !cancelled.Load() {
-			for t := range out {
-				out[t] = append(out[t], results[i][t]...)
-			}
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					i := int(next.Add(1)) - 1
+					if i >= nM {
+						return
+					}
+					if cfg.ctx != nil && cfg.ctx.Err() != nil {
+						cancelled.Store(true)
+						return
+					}
+					probeMorsel(i)
+				}
+			}()
 		}
+		wg.Wait() // probe counters and any enclosing trace stay complete
 	}
-	wg.Wait() // probe counters and any enclosing trace stay complete
-	psp.SetInt("tuples", int64(len(out[newT])))
-	psp.End()
 	if cancelled.Load() {
+		psp.End()
 		return nil, cfg.ctx.Err()
 	}
+	// Concatenating in morsel order gives the canonical tuple order at every
+	// worker count.
+	total := 0
+	for _, r := range results {
+		total += len(r[newT])
+	}
+	out := sizedTuples(newT+1, total)
+	for _, r := range results {
+		for t := range out {
+			out[t] = append(out[t], r[t]...)
+		}
+	}
+	psp.SetInt("tuples", int64(total))
+	psp.End()
 	return out, nil
+}
+
+// sizedTuples returns nt empty row-id columns with capacity for n tuples.
+// A morsel's probe output starts sized for its probe count, which a key
+// join (each probe matching at most one build row) never outgrows.
+func sizedTuples(nt, n int) [][]int32 {
+	out := make([][]int32, nt)
+	for t := range out {
+		out[t] = make([]int32, 0, n)
+	}
+	return out
 }

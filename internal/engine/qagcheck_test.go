@@ -1,0 +1,47 @@
+//go:build qagcheck
+
+package engine
+
+import (
+	"strings"
+	"testing"
+
+	"qagview/internal/relation"
+)
+
+// Only meaningful under -tags qagcheck: the join-tuple assertions must
+// actually fire on a corrupt tuple stream, otherwise the CI job checks
+// nothing.
+func TestQagcheckCatchesBadJoinTuples(t *testing.T) {
+	rels := []*relation.Relation{
+		relation.MustFromColumns("a", relation.IntCol("k", []int64{1, 2, 3})),
+		relation.MustFromColumns("b", relation.IntCol("k", []int64{1, 2})),
+	}
+	for _, c := range []struct {
+		name   string
+		tuples [][]int32
+		want   string
+	}{
+		{"ragged", [][]int32{{0, 1}, {0}}, "has 1 tuples"},
+		{"out of range", [][]int32{{0, 1}, {0, 2}}, "out of range"},
+		{"negative", [][]int32{{-1}, {0}}, "out of range"},
+		{"descending", [][]int32{{1, 0}, {0, 0}}, "not strictly ascending"},
+		{"duplicate", [][]int32{{0, 0}, {1, 1}}, "not strictly ascending"},
+		{"missing column", [][]int32{{0}}, "row-id columns"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("assertJoinTuples accepted %v", c.tuples)
+				}
+				if !strings.Contains(r.(string), c.want) {
+					t.Fatalf("panic %q, want it to mention %q", r, c.want)
+				}
+			}()
+			assertJoinTuples(c.tuples, rels)
+		})
+	}
+	// The canonical order passes: ascending by table 0, then table 1.
+	assertJoinTuples([][]int32{{0, 0, 2}, {0, 1, 0}}, rels)
+}

@@ -120,7 +120,7 @@ func TestJoinSpans(t *testing.T) {
 	}
 	tr.Finish(trace)
 	snap, _ := tr.Get(trace.ID)
-	for _, name := range []string{"engine.execute", "join", "join.plan", "join.build", "join.probe", "join.materialize", "vexec", "scan", "merge", "finalize"} {
+	for _, name := range []string{"engine.execute", "join", "join.plan", "plan", "join.build", "join.probe", "vexec", "scan", "merge", "finalize"} {
 		if _, ok := findSpan(snap.Root, name); !ok {
 			t.Fatalf("missing span %q in traced join query", name)
 		}
@@ -187,6 +187,11 @@ func TestExecProfileContents(t *testing.T) {
 	if fin.RowsOut != int64(res.N()) {
 		t.Fatalf("finalize rows_out %d, want %d", fin.RowsOut, res.N())
 	}
+	// The plan operator covers dictionary resolution: rows_in is the rows
+	// the group columns' dictionaries span.
+	if plan := prof["plan"]; plan.RowsIn != int64(rows) {
+		t.Fatalf("plan rows_in %d, want %d", plan.RowsIn, rows)
+	}
 	// Rendered form is the Go-API EXPLAIN ANALYZE.
 	s := res.Profile.String()
 	for _, want := range []string{"operator", "scan", "merge", "finalize"} {
@@ -207,11 +212,63 @@ func TestExecProfileContents(t *testing.T) {
 		names = append(names, op.Op)
 	}
 	joined := strings.Join(names, ",")
-	for _, want := range []string{"join.plan", "join.build(items)", "join.probe(items)", "join.materialize", "plan", "scan", "merge", "finalize"} {
+	for _, want := range []string{"join.plan", "join.build(items)", "join.probe(items)", "plan", "scan", "merge", "finalize"} {
 		if !strings.Contains(joined, want) {
 			t.Fatalf("join profile missing %q: %v", want, names)
 		}
 	}
+	// A join's group dictionaries are the base table's: plan's rows_in is
+	// the rows of items, the table cat belongs to.
+	for _, op := range jres.Profile {
+		if op.Op == "plan" && op.RowsIn != 9 {
+			t.Fatalf("join plan rows_in %d, want items' 9 rows", op.RowsIn)
+		}
+	}
+
+	// Dictionary builds happen inside the plan operator and span: on a
+	// fresh table, the first query's plan span carries the covered rows.
+	ctx, tr, trace := tracedCtx(t)
+	if _, err := ExecuteSQL(syntheticCatalog(rows), "select a, b, count(*) as c from t group by a, b",
+		ExecContext(ctx), ExecProfile()); err != nil {
+		t.Fatalf("traced execute: %v", err)
+	}
+	tr.Finish(trace)
+	snap, _ := tr.Get(trace.ID)
+	psp, ok := findSpan(snap.Root, "plan")
+	if !ok {
+		t.Fatal("no plan span")
+	}
+	if got := spanAttr(psp, "rows_in"); got != fmt.Sprint(2*rows) {
+		t.Fatalf("plan span rows_in = %q, want %d", got, 2*rows)
+	}
+
+	// WHERE pushed below the join shows as its own operator: rows_in is
+	// the filtered table's rows, rows_out the selection.
+	fres, err := ExecuteSQL(starCatalog(2000),
+		"select cat, count(*) as c from facts join items on facts.iid = items.iid where cat = 'c1' group by cat",
+		ExecParallelism(2), ExecProfile())
+	if err != nil {
+		t.Fatalf("filtered join execute: %v", err)
+	}
+	var filter *OpProfile
+	for i := range fres.Profile {
+		if fres.Profile[i].Op == "join.filter" {
+			filter = &fres.Profile[i]
+		}
+	}
+	if filter == nil || filter.RowsIn != 9 || filter.RowsOut != 2 {
+		t.Fatalf("join.filter = %+v, want 9 items rows in, the 2 of cat c1 out (profile %v)", filter, fres.Profile)
+	}
+}
+
+// spanAttr returns the value of the span's attribute key, or "".
+func spanAttr(s obs.SpanSnapshot, key string) string {
+	for _, a := range s.Attrs {
+		if a.Key == key {
+			return a.Val
+		}
+	}
+	return ""
 }
 
 // TestProfileDoesNotLeakWithoutOption: no ExecProfile, no profile.

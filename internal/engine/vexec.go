@@ -12,21 +12,27 @@ import (
 )
 
 // This file implements the vectorized, morsel-parallel executor behind
-// Execute. The relation is cut into fixed-size morsels of consecutive rows;
-// workers pull morsels from a shared counter and run the per-row work that
-// parallelizes — predicate kernels producing selection vectors, dictionary
-// codes packed into group keys (pattern.Codec), per-morsel grouping into a
-// local key table (pattern.Table), and gathers of the aggregate columns —
-// while one deterministic merge consumes the morsels in shard order and
-// folds them into the global group table.
+// Execute. Its input is a sequence of rows cut into fixed-size morsels:
+// a single table's rows, or a join's tuples, where every column reads its
+// base table through that FROM position's row-id column (so a morsel
+// [lo, hi) of a join reads table t's rows tuples[t][lo:hi], and no joined
+// relation is ever materialized). Workers pull morsels from a shared
+// counter and run the per-row work that parallelizes — predicate kernels
+// producing selection vectors (single-table scans; a join's WHERE was
+// pushed below it), base-table dictionary codes packed into group keys
+// (pattern.Codec), per-morsel grouping into a local key table
+// (pattern.Table), and gathers of the aggregate columns — while one
+// deterministic merge consumes the morsels in shard order and folds them
+// into the global group table.
 //
 // The merge is what makes the output bit-identical to the row-at-a-time
 // reference (executeRef) at every worker count: morsels are contiguous
-// ascending row ranges merged in order, so groups appear in the reference's
-// first-seen order, and all float accumulation (sums, HAVING aggregates)
-// happens inside the merge, row by row in global row order — workers never
-// add two floats. The merge's hash-probe cost is one global-table probe per
-// morsel-local group (not per row); its per-row cost is array arithmetic.
+// ascending input ranges merged in order, so groups appear in the
+// reference's first-seen order, and all float accumulation (sums, HAVING
+// aggregates) happens inside the merge, row by row in input order —
+// workers never add two floats. The merge's hash-probe cost is one
+// global-table probe per morsel-local group (not per row); its per-row cost
+// is array arithmetic.
 //
 // Morsel buffers and the global table are pooled and reset across calls, so
 // steady-state execution (session refreshes re-running their query on every
@@ -37,12 +43,13 @@ import (
 const morselRows = 4096
 
 // vecPlan extends the resolved plan with the vectorized execution state:
-// per-group-column dictionary codes and the packed-key layout derived from
-// their cardinalities.
+// per-group-column base-table dictionary codes, the packed-key layout
+// derived from their cardinalities, and a join's row-id columns.
 type vecPlan struct {
 	*execPlan
-	codes [][]int32 // dictionary codes per group column, full-table
-	codec *pattern.Codec
+	codes  [][]int32 // base-table dictionary codes per group column
+	codec  *pattern.Codec
+	tuples [][]int32 // row ids per FROM position; nil for a single-table scan
 }
 
 // newVecPlan resolves the group columns' dictionary codes and derives the
@@ -52,12 +59,30 @@ func newVecPlan(p *execPlan) *vecPlan {
 	vp := &vecPlan{execPlan: p, codes: make([][]int32, m)}
 	cards := make([]int, m)
 	for j, c := range p.groupCols {
-		d := p.rel.DictCodes(p.rel.ColumnIndex(c.Name))
+		d := p.rels[c.tab].DictCodes(c.idx)
 		vp.codes[j] = d.Codes
 		cards[j] = d.Card
 	}
 	vp.codec = pattern.NewCodec(cards)
 	return vp
+}
+
+// baseRows returns the rows of FROM table tab that the morsel [lo, hi)
+// reads: the selection vector itself on a single-table scan, a slice of
+// the row-id column on a join.
+func (vp *vecPlan) baseRows(b *morselBuf, tab int, lo, hi int32) []int32 {
+	if vp.tuples == nil {
+		return b.sel
+	}
+	return vp.tuples[tab][lo:hi]
+}
+
+// baseRow is baseRows for the single input row i.
+func (vp *vecPlan) baseRow(tab int, i int32) int {
+	if vp.tuples == nil {
+		return int(i)
+	}
+	return int(vp.tuples[tab][i])
 }
 
 // ---- predicate kernels ----
@@ -241,12 +266,12 @@ func filterStrSel(vals []string, eq bool, lit string, sel []int32) []int32 {
 // morselBuf holds one morsel's vectorized state, pooled across morsels and
 // Execute calls.
 type morselBuf struct {
-	sel      []int32   // selected row indexes, ascending
-	keys     []uint64  // packed group key per selected row, Words() words each
-	localOf  []int32   // morsel-local group id per selected row
-	aggVals  []float64 // gathered aggregate-column values per selected row
+	sel      []int32   // selected row indexes, ascending (single-table scans)
+	keys     []uint64  // packed group key per input row, Words() words each
+	localOf  []int32   // morsel-local group id per input row
+	aggVals  []float64 // gathered aggregate-column values per input row
 	havVals  [][]float64
-	firstRow []int32 // first selected row per local group
+	firstRow []int32 // first input row per local group
 
 	table     pattern.Table // packed key -> morsel-local group id
 	groupKeys []uint64      // local groups' keys in first-seen order
@@ -283,13 +308,17 @@ func sizedF64(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// processMorsel runs the parallelizable pipeline stages on rows [lo, hi):
-// filter, key, local-group, gather. It touches only b and read-only plan
-// state, so any number of workers can run it concurrently.
+// processMorsel runs the parallelizable pipeline stages on input rows
+// [lo, hi): filter (single-table scans only), key, local-group, gather. It
+// touches only b and read-only plan state, so any number of workers can
+// run it concurrently.
 func (vp *vecPlan) processMorsel(b *morselBuf, lo, hi int32) {
 	b.reset()
-	b.sel = vp.filterMorsel(lo, hi, b.sel)
-	n := len(b.sel)
+	n := int(hi - lo)
+	if vp.tuples == nil {
+		b.sel = vp.filterMorsel(lo, hi, b.sel)
+		n = len(b.sel)
+	}
 	b.localOf = sizedI32(b.localOf, n)
 
 	// Key build, column at a time: or-in each attribute's dictionary code at
@@ -299,7 +328,7 @@ func (vp *vecPlan) processMorsel(b *morselBuf, lo, hi int32) {
 	b.keys = sizedU64(b.keys, n*w)
 	clear(b.keys)
 	for j, codes := range vp.codes {
-		vp.codec.PackColumn(b.keys, j, codes, b.sel)
+		vp.codec.PackColumn(b.keys, j, codes, vp.baseRows(b, vp.groupCols[j].tab, lo, hi))
 	}
 	// A morsel has at most morselRows groups, so the local table never
 	// regrows.
@@ -307,28 +336,32 @@ func (vp *vecPlan) processMorsel(b *morselBuf, lo, hi int32) {
 	b.table.InsertAll(b.keys, b.localOf)
 	for i, id := range b.localOf {
 		if int(id) == len(b.firstRow) {
-			b.firstRow = append(b.firstRow, b.sel[i])
+			first := lo + int32(i)
+			if vp.tuples == nil {
+				first = b.sel[i]
+			}
+			b.firstRow = append(b.firstRow, first)
 			for _, k := range b.keys[i*w : (i+1)*w] {
 				b.groupKeys = append(b.groupKeys, k)
 			}
 		}
 	}
 
-	if vp.aggCol != nil {
+	if c := vp.aggCol; c.col != nil {
 		b.aggVals = sizedF64(b.aggVals, n)
-		gather(vp.aggCol, b.sel, b.aggVals)
+		gather(c.col, vp.baseRows(b, c.tab, lo, hi), b.aggVals)
 	}
 	for cap(b.havVals) < len(vp.havingCols) {
 		b.havVals = append(b.havVals[:cap(b.havVals)], nil)
 	}
 	b.havVals = b.havVals[:len(vp.havingCols)]
 	for h, c := range vp.havingCols {
-		if c == nil {
+		if c.col == nil {
 			b.havVals[h] = nil // count(*): no values to gather
 			continue
 		}
 		b.havVals[h] = sizedF64(b.havVals[h], n)
-		gather(c, b.sel, b.havVals[h])
+		gather(c.col, vp.baseRows(b, c.tab, lo, hi), b.havVals[h])
 	}
 }
 
@@ -355,7 +388,7 @@ func gather(c *relation.Column, sel []int32, out []float64) {
 type groupTable struct {
 	keys pattern.Table
 
-	firstRow []int32
+	firstRow []int32 // first input row per group: row id or tuple index
 	cnt      []int64
 	sum      []float64
 	min      []float64
@@ -437,7 +470,7 @@ func (t *groupTable) mergeMorsel(vp *vecPlan, b *morselBuf) {
 			t.addGroup(b.firstRow[li])
 		}
 	}
-	hasAgg := vp.aggCol != nil
+	hasAgg := vp.aggCol.col != nil
 	nh := len(vp.havingCols)
 	for i := range b.localOf {
 		g := t.remap[b.localOf[i]]
@@ -469,7 +502,8 @@ func (t *groupTable) mergeMorsel(vp *vecPlan, b *morselBuf) {
 }
 
 // finalizeResult renders the merged groups: HAVING filter, group rows from
-// each group's first matching row, then the shared ORDER BY / LIMIT pass.
+// the base rows of each group's first input row, then the shared ORDER BY /
+// LIMIT pass.
 func (t *groupTable) finalizeResult(vp *vecPlan) *Result {
 	q := vp.q
 	res := &Result{GroupBy: append([]string(nil), q.GroupBy...), ValName: q.Agg.Alias, Table: q.Table, Tables: q.Tables()}
@@ -486,9 +520,8 @@ func (t *groupTable) finalizeResult(vp *vecPlan) *Result {
 			continue
 		}
 		row := make([]string, len(vp.groupCols))
-		fr := int(t.firstRow[g])
 		for j, c := range vp.groupCols {
-			row[j] = c.StringAt(fr)
+			row[j] = c.col.StringAt(vp.baseRow(c.tab, t.firstRow[g]))
 		}
 		res.Rows = append(res.Rows, row)
 		res.Vals = append(res.Vals, finalize(q.Agg.Fn, t.sum[g], t.cnt[g], t.min[g], t.max[g]))
@@ -502,8 +535,7 @@ func (t *groupTable) finalizeResult(vp *vecPlan) *Result {
 // executeVec runs the vectorized pipeline, checking the pooled group table
 // out and back in around the actual run so the table is returned exactly
 // once on every path (success or cancellation).
-func executeVec(p *execPlan, cfg execConfig) (*Result, error) {
-	vp := newVecPlan(p)
+func executeVec(vp *vecPlan, cfg execConfig) (*Result, error) {
 	t := tablePool.Get().(*groupTable)
 	t.resetFor(vp.codec.Words(), len(vp.havingCols))
 	res, err := vp.run(t, cfg)
@@ -519,7 +551,7 @@ func executeVec(p *execPlan, cfg execConfig) (*Result, error) {
 // spans when parallel), a "merge" operator, and a "finalize" operator —
 // and never change claim order or accumulation order.
 func (vp *vecPlan) run(t *groupTable, cfg execConfig) (*Result, error) {
-	n := vp.rel.NumRows()
+	n := inputRows(vp.execPlan, vp.tuples)
 	nMorsels := (n + morselRows - 1) / morselRows
 	workers := cfg.par
 	if workers > nMorsels {
@@ -579,12 +611,12 @@ func (vp *vecPlan) runSeq(t *groupTable, cfg execConfig, n, nMorsels int, scan, 
 		lo, hi := morselBounds(m, n)
 		t0 := profNow(scan)
 		vp.processMorsel(b, lo, hi)
-		scan.observe(int64(hi-lo), int64(len(b.sel)), t0)
-		selected += int64(len(b.sel))
+		scan.observe(int64(hi-lo), int64(len(b.localOf)), t0)
+		selected += int64(len(b.localOf))
 		t1 := profNow(merge)
 		before := len(t.firstRow)
 		t.mergeMorsel(vp, b)
-		merge.observe(int64(len(b.sel)), int64(len(t.firstRow)-before), t1)
+		merge.observe(int64(len(b.localOf)), int64(len(t.firstRow)-before), t1)
 	}
 	b.reset()
 	bufPool.Put(b)
@@ -645,7 +677,7 @@ func (vp *vecPlan) runPar(t *groupTable, cfg execConfig, n, nMorsels, workers in
 				lo, hi := morselBounds(i, n)
 				t0 := profNow(scan)
 				vp.processMorsel(wb, lo, hi)
-				scan.observe(int64(hi-lo), int64(len(wb.sel)), t0)
+				scan.observe(int64(hi-lo), int64(len(wb.localOf)), t0)
 				results[i] = wb
 				close(done[i])
 			}
@@ -662,7 +694,7 @@ func (vp *vecPlan) runPar(t *groupTable, cfg execConfig, n, nMorsels, workers in
 			t1 := profNow(merge)
 			before := len(t.firstRow)
 			t.mergeMorsel(vp, mb)
-			merge.observe(int64(len(mb.sel)), int64(len(t.firstRow)-before), t1)
+			merge.observe(int64(len(mb.localOf)), int64(len(t.firstRow)-before), t1)
 		}
 		mb.reset()
 		bufPool.Put(mb)
@@ -680,7 +712,7 @@ func (vp *vecPlan) runPar(t *groupTable, cfg execConfig, n, nMorsels, workers in
 	return nil
 }
 
-// morselBounds returns morsel m's row range over a relation of n rows.
+// morselBounds returns morsel m's range over n input rows.
 func morselBounds(m, n int) (int32, int32) {
 	lo := m * morselRows
 	hi := lo + morselRows

@@ -17,16 +17,17 @@ import (
 // Join variables are the equivalence classes of equated columns
 // (joinPlan.varOccs). Each variable gets a joint code space: the union of
 // its occurrence columns' dictionaries, recoded first-seen into one dense
-// domain under the class's key kind. Each relation's trie is its rows
-// sorted lexicographically by the joint codes of its variables (in global
-// variable order) with row id as the tiebreak — exactly the per-column
-// sorted code indexes of relation.CodeGroups, composed per relation. The
-// enumeration intersects, level by level, the current code ranges of every
-// relation containing the variable (leapfrog: repeatedly seek the lagging
-// iterator to the current maximum), and at a full binding emits the cross
-// product of the per-relation row ranges. A final lexicographic sort by
-// FROM-position row ids lands the tuples in the canonical nested-loop
-// order, making the path bit-identical to the reference and the hash plan.
+// domain under the class's key kind. Each relation's trie is the rows its
+// pushed-down WHERE selected, sorted lexicographically by the joint codes
+// of its variables (in global variable order) with row id as the tiebreak
+// — exactly the per-column sorted code indexes of relation.CodeGroups,
+// composed per relation. The enumeration intersects, level by level, the
+// current code ranges of every relation containing the variable (leapfrog:
+// repeatedly seek the lagging iterator to the current maximum), and at a
+// full binding emits the cross product of the per-relation row ranges. A
+// final lexicographic sort by FROM-position row ids lands the tuples in the
+// canonical nested-loop order, making the path bit-identical to the
+// reference and the hash plan.
 
 // lfTable is one relation's trie: surviving rows sorted by their variables'
 // joint codes, plus the per-level code of each sorted row.
@@ -105,8 +106,9 @@ func (jp *joinPlan) jointCodes(v int) map[[2]int][]int32 {
 	return out
 }
 
-// newLeapfrog builds the tries.
-func (jp *joinPlan) newLeapfrog() *leapfrog {
+// newLeapfrog builds the tries over the selected rows (sels as from
+// execPlan.selections: nil means every row).
+func (jp *joinPlan) newLeapfrog(sels [][]int32) *leapfrog {
 	nt := len(jp.rels)
 	nv := len(jp.varOccs)
 	lf := &leapfrog{jp: jp, tables: make([]*lfTable, nt), atVar: make([][]lfPart, nv)}
@@ -152,11 +154,19 @@ func (jp *joinPlan) newLeapfrog() *leapfrog {
 				lt.vars = append(lt.vars, v)
 			}
 		}
-		n := jp.rels[t].NumRows()
+		sel := sels[t]
+		n := len(sel)
+		if sel == nil {
+			n = jp.rels[t].NumRows()
+		}
 		rows := make([]int32, 0, n)
-		for r := 0; r < n; r++ {
+		for k := 0; k < n; k++ {
+			r := int32(k)
+			if sel != nil {
+				r = sel[k]
+			}
 			if drop[t] == nil || !drop[t][r] {
-				rows = append(rows, int32(r))
+				rows = append(rows, r)
 			}
 		}
 		byVar := make([][]int32, len(lt.vars))
@@ -189,10 +199,17 @@ func (jp *joinPlan) newLeapfrog() *leapfrog {
 	return lf
 }
 
-// leapfrogTuples runs the generic join and returns the matching row-id
-// tuples in canonical lexicographic order.
-func (jp *joinPlan) leapfrogTuples(ctx context.Context) ([][]int32, error) {
-	lf := jp.newLeapfrog()
+// lfLevel is one join variable's iterator state: per participating trie,
+// the current position, the level's fixed range end, the bound code's
+// subrange end, and the enclosing ranges saved while deeper levels run.
+type lfLevel struct {
+	pos, end, sub, saveLo, saveHi []int
+}
+
+// leapfrogTuples runs the generic join over the selected rows and returns
+// the matching row-id tuples in canonical lexicographic order.
+func (jp *joinPlan) leapfrogTuples(ctx context.Context, sels [][]int32) ([][]int32, error) {
+	lf := jp.newLeapfrog(sels)
 	nt := len(jp.rels)
 	nv := len(jp.varOccs)
 	tuples := make([][]int32, nt)
@@ -231,6 +248,15 @@ func (jp *joinPlan) leapfrogTuples(ctx context.Context) ([][]int32, error) {
 		return from + sort.Search(to-from, func(i int) bool { return codes[from+i] >= c })
 	}
 
+	// A level is never re-entered while it is active, so one scratch set
+	// per variable, allocated here, serves every recursion.
+	levels := make([]lfLevel, nv)
+	for v := range levels {
+		k := len(lf.atVar[v])
+		levels[v] = lfLevel{pos: make([]int, k), end: make([]int, k), sub: make([]int, k),
+			saveLo: make([]int, k), saveHi: make([]int, k)}
+	}
+
 	var rec func(v int) error
 	rec = func(v int) error {
 		if v == nv {
@@ -238,10 +264,10 @@ func (jp *joinPlan) leapfrogTuples(ctx context.Context) ([][]int32, error) {
 			return nil
 		}
 		parts := lf.atVar[v]
+		lv := &levels[v]
+		pos, end, sub, saveLo, saveHi := lv.pos, lv.end, lv.sub, lv.saveLo, lv.saveHi
 		// Iterator positions start at each participating trie's range
 		// start; the range ends stay fixed for this level.
-		pos := make([]int, len(parts))
-		end := make([]int, len(parts))
 		for i, p := range parts {
 			pos[i] = lo[p.ti]
 			end[i] = hi[p.ti]
@@ -277,12 +303,9 @@ func (jp *joinPlan) leapfrogTuples(ctx context.Context) ([][]int32, error) {
 			// All iterators agree on maxCode: bind it, narrow every
 			// participating trie to the code's subrange, recurse, then
 			// advance past the subrange.
-			sub := make([]int, len(parts))
 			for i, p := range parts {
 				sub[i] = seek(lf.tables[p.ti].codes[p.lvl], pos[i], end[i], maxCode+1)
 			}
-			saveLo := make([]int, len(parts))
-			saveHi := make([]int, len(parts))
 			for i, p := range parts {
 				saveLo[i], saveHi[i] = lo[p.ti], hi[p.ti]
 				lo[p.ti], hi[p.ti] = pos[i], sub[i]

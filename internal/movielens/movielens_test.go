@@ -184,7 +184,9 @@ func TestQueryTemplate(t *testing.T) {
 
 // TestStarJoinMatchesFlat pins the tentpole loader property: aggregates over
 // the star schema's SQL join reproduce the denormalized RatingTable's bit
-// for bit, on the reference, hash, and worst-case-optimal join paths.
+// for bit, on the reference, hash, and worst-case-optimal join paths. The
+// WHERE inputs touch no table, each FROM table in turn, and all three at
+// once, so pushdown below the join meets every build and probe side.
 func TestStarJoinMatchesFlat(t *testing.T) {
 	cfg := Config{Users: 60, Movies: 80, Ratings: 900, Seed: 3}
 	star, err := GenerateStar(cfg)
@@ -200,33 +202,44 @@ func TestStarJoinMatchesFlat(t *testing.T) {
 	for _, r := range star.Tables() {
 		starCat[r.Name()] = r
 	}
+	wheres := []string{
+		"",
+		"weekday = 'sat'",     // ratings, the probe side
+		"gender = 'F'",        // users, a build side
+		"genre_adventure = 1", // movies, a build side
+		"weekday <> 'sat' AND gender = 'F' AND genre_adventure = 1",
+	}
 	for _, m := range []int{2, 4} {
-		fq, err := Query(m, 0, "genre_adventure = 1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		jq, err := JoinQuery(m, 0, "genre_adventure = 1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := engine.ExecuteSQL(flatCat, fq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want.N() == 0 {
-			t.Fatalf("flat query m=%d returned no groups", m)
-		}
-		for _, opts := range [][]engine.ExecOption{
-			{engine.ExecReference()},
-			{engine.ExecParallelism(1)},
-			{engine.ExecParallelism(8)},
-			{engine.ExecParallelism(2), engine.ExecGenericJoin()},
-		} {
-			got, err := engine.ExecuteSQL(starCat, jq, opts...)
-			if err != nil {
-				t.Fatal(err)
+		for _, minCount := range []int{0, 1} {
+			for _, where := range wheres {
+				fq, err := Query(m, minCount, where)
+				if err != nil {
+					t.Fatal(err)
+				}
+				jq, err := JoinQuery(m, minCount, where)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := engine.ExecuteSQL(flatCat, fq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want.N() == 0 {
+					t.Fatalf("flat query %q returned no groups", fq)
+				}
+				for _, opts := range [][]engine.ExecOption{
+					{engine.ExecReference()},
+					{engine.ExecParallelism(1)},
+					{engine.ExecParallelism(8)},
+					{engine.ExecParallelism(2), engine.ExecGenericJoin()},
+				} {
+					got, err := engine.ExecuteSQL(starCat, jq, opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertSameAnswers(t, fmt.Sprintf("m=%d having=%d where=%q opts=%d", m, minCount, where, len(opts)), want, got)
+				}
 			}
-			assertSameAnswers(t, fmt.Sprintf("m=%d opts=%d", m, len(opts)), want, got)
 		}
 	}
 }
