@@ -5,15 +5,19 @@
 package qagview_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"log/slog"
 	"math/rand"
+	"net/http/httptest"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"qagview"
 	"qagview/internal/baselines"
@@ -22,6 +26,7 @@ import (
 	"qagview/internal/lattice"
 	"qagview/internal/movielens"
 	"qagview/internal/obs"
+	"qagview/internal/server"
 	"qagview/internal/summarize"
 	"qagview/internal/tpcds"
 	"qagview/internal/userstudy"
@@ -946,5 +951,110 @@ func BenchmarkTraceOverhead(b *testing.B) {
 				tracer.Finish(tr)
 			}
 		})
+	}
+}
+
+// BenchmarkLiveRefresh measures one cycle of a live session on the 100k-row
+// RatingTable, end to end through an in-process qagviewd (no WAL, requests
+// through its HTTP handler): append 64 rows of the session's gender, read
+// the session's solution until it carries the new data_version (the first
+// read refreshes the session), and wait for the successor store. The
+// session has the e2ebench live shape: seven grouping attributes, gender =
+// 'M', the HAVING threshold that leaves about 1,500 groups, L = 1000, and
+// the (k, D) grid k in [1, 40], D in {1, 2, 3}.
+func BenchmarkLiveRefresh(b *testing.B) {
+	rel, err := movielens.Generate(movielens.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	const attrs = "hdec, agegrp, occupation, decade, zipregion, weekday, genre_action"
+	db := qagview.NewDB()
+	if err := db.Register(rel); err != nil {
+		b.Fatal(err)
+	}
+	counts, err := db.Query("SELECT " + attrs + ", count(rating) AS val FROM RatingTable WHERE gender = 'M' GROUP BY " + attrs + " ORDER BY val DESC")
+	if err != nil {
+		b.Fatal(err)
+	}
+	minCount := 0
+	if counts.N() > 1500 {
+		minCount = int(counts.Vals[1500])
+	}
+	sql := "SELECT " + attrs + ", avg(rating) AS val FROM RatingTable WHERE gender = 'M' GROUP BY " + attrs +
+		" HAVING count(*) > " + itoa(minCount) + " ORDER BY val DESC"
+
+	srv := server.New(server.Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	defer srv.Close()
+	if err := srv.Register(rel); err != nil {
+		b.Fatal(err)
+	}
+	h := srv.Handler()
+	call := func(method, path string, body any) map[string]any {
+		var rd io.Reader
+		if body != nil {
+			raw, err := json.Marshal(body)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rd = bytes.NewReader(raw)
+		}
+		req := httptest.NewRequest(method, path, rd)
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code/100 != 2 {
+			b.Fatalf("%s %s: %d %s", method, path, rec.Code, rec.Body.String())
+		}
+		var out map[string]any
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			b.Fatal(err)
+		}
+		return out
+	}
+	open := call("POST", "/v1/sessions", map[string]any{"sql": sql, "l": 1000, "kmin": 1, "kmax": 40, "ds": []int{1, 2, 3}})
+	session := "/v1/sessions/" + open["session"].(string)
+	waitReady := func() {
+		for call("GET", session, nil)["store_ready"] != true {
+			time.Sleep(200 * time.Microsecond)
+		}
+	}
+	waitReady()
+
+	// Batches re-rate existing gender = 'M' rows, so every grouping value is
+	// one the dictionaries already hold.
+	g, _ := rel.ColumnByName("gender")
+	var pick []int
+	for i, v := range g.Str {
+		if v == "M" {
+			pick = append(pick, i)
+		}
+	}
+	rating := rel.ColumnIndex("rating")
+	rng := rand.New(rand.NewSource(1))
+	batches := make([][][]string, b.N+1)
+	for i := range batches {
+		batches[i] = make([][]string, 64)
+		for j := range batches[i] {
+			r := pick[rng.Intn(len(pick))]
+			row := make([]string, rel.NumCols())
+			for c := range row {
+				row[c] = rel.StringAt(c, r)
+			}
+			row[rating] = itoa(1 + rng.Intn(5))
+			batches[i][j] = row
+		}
+	}
+	cycle := func(batch [][]string) {
+		gen := call("POST", "/v1/tables/RatingTable/rows", map[string]any{"rows": batch})["data_version"].(float64)
+		for call("GET", session+"/solution?k=10&d=2", nil)["data_version"].(float64) < gen {
+		}
+		waitReady()
+	}
+	// Warm-up: the session's first refresh differs from the steady state.
+	cycle(batches[b.N])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle(batches[i])
 	}
 }

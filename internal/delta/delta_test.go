@@ -1,6 +1,7 @@
 package delta
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -374,5 +375,131 @@ func TestMaintainerMovieLens(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertStoresEqual(t, fmt.Sprintf("movielens-step%d", step), warmStore, coldStore, mt.Index().Space, cold.Space)
+	}
+}
+
+// assertIndexEqual fails unless got and want hold the same ranking and the
+// same clusters under the same ids: rendered patterns, coverage lists and
+// value sums, bit for bit.
+func assertIndexEqual(t *testing.T, label string, got, want *lattice.Index) {
+	t.Helper()
+	gs, ws := got.Space, want.Space
+	if gs.N() != ws.N() || got.NumClusters() != want.NumClusters() {
+		t.Fatalf("%s: %d tuples / %d clusters, want %d / %d", label, gs.N(), got.NumClusters(), ws.N(), want.NumClusters())
+	}
+	for i := range gs.Tuples {
+		if !reflect.DeepEqual(gs.Render(gs.Tuples[i]), ws.Render(ws.Tuples[i])) || math.Float64bits(gs.Vals[i]) != math.Float64bits(ws.Vals[i]) {
+			t.Fatalf("%s: rank %d differs", label, i)
+		}
+	}
+	for id := range want.Clusters {
+		g, w := got.Cluster(int32(id)), want.Cluster(int32(id))
+		if !reflect.DeepEqual(gs.Render(g.Pat), ws.Render(w.Pat)) || !reflect.DeepEqual(g.Cov, w.Cov) || math.Float64bits(g.Sum) != math.Float64bits(w.Sum) {
+			t.Fatalf("%s: cluster %d differs", label, id)
+		}
+	}
+}
+
+// TestRefreshWithOriginDeferredWarm drives the maintainer the way a live
+// session does: appended MovieLens ratings are folded into the engine's
+// retained aggregation, and every changed fold goes to RefreshWithOrigin
+// with the fold's origin. After every refresh the index must equal a cold
+// NewSpace + BuildIndex over a full query; stores are precomputed only
+// every other step, so one deferred warm covers two refreshes, and each
+// store must equal a cold precompute.
+func TestRefreshWithOriginDeferredWarm(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	rel, err := movielens.Generate(movielens.Config{Users: 300, Movies: 400, Ratings: 20000, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sql, err := movielens.Query(4, 30, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := engine.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, kept, err := engine.Retain(catalog{rel.Name(): rel}, q)
+	if err != nil || kept == nil {
+		t.Fatalf("Retain: kept=%v err=%v", kept, err)
+	}
+	L := min(60, res.N())
+	mt := New(buildIndex(t, res.GroupBy, res.Rows, res.Vals, L))
+	// The session's first refresh is a rescan: align the maintainer's
+	// ranking with the retained output, as a session's first refresh does.
+	if _, _, err := mt.Refresh(res.Rows, res.Vals); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mt.Precompute(1, 6, []int{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	folds, fast, slow := 0, 0, 0
+	for step := 0; step < 6; step++ {
+		batch := make([]relation.Column, rel.NumCols())
+		donors := make([]int, 40)
+		for i := range donors {
+			donors[i] = rng.Intn(rel.NumRows())
+		}
+		for ci := range batch {
+			src := rel.Column(ci)
+			c := relation.Column{Name: src.Name, Kind: src.Kind}
+			for _, d := range donors {
+				switch src.Kind {
+				case relation.KindString:
+					c.Str = append(c.Str, src.Str[d])
+				case relation.KindInt:
+					c.Int = append(c.Int, src.Int[d])
+				case relation.KindFloat:
+					v := src.Float[d]
+					if src.Name == "rating" && step%2 == 1 {
+						v = 5 // lift averages: top-L churn
+					}
+					c.Float = append(c.Float, v)
+				}
+			}
+			batch[ci] = c
+		}
+		if rel, err = rel.Append(batch); err != nil {
+			t.Fatal(err)
+		}
+		cat := catalog{rel.Name(): rel}
+		f, ok, err := kept.Fold(cat)
+		if err != nil || !ok {
+			t.Fatalf("step %d: fold ok=%v err=%v", step, ok, err)
+		}
+		want, err := engine.Execute(cat, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Changed {
+			folds++
+			stats, err := mt.RefreshWithOrigin(context.Background(), f.Result.Rows, f.Result.Vals, f.Origin)
+			if err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			if stats.FastPath {
+				fast++
+			} else {
+				slow++
+			}
+		}
+		cold := buildIndex(t, want.GroupBy, want.Rows, want.Vals, L)
+		assertIndexEqual(t, fmt.Sprintf("step %d", step), mt.Index(), cold)
+		if step%2 == 1 {
+			warmStore, err := mt.Precompute(1, 6, []int{1, 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			coldStore, err := precompute.Run(cold, L, 1, 6, []int{1, 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertStoresEqual(t, fmt.Sprintf("step %d", step), warmStore, coldStore, mt.Index().Space, cold.Space)
+		}
+	}
+	if folds == 0 || slow == 0 {
+		t.Fatalf("history refreshed %d times (%d fast, %d slow); want changed folds with top-L churn", folds, fast, slow)
 	}
 }

@@ -14,11 +14,17 @@ import (
 // current cluster index, the warm sweeper chained across data generations,
 // and the monotonically increasing generation counter that versions both.
 //
+// A refresh installs the successor index and leaves the sweeper where it
+// was: warming it onto the new index (the Fixed-Order phase, about as
+// costly as a rebase) is deferred to the next Precompute, which a serving
+// layer runs in the background, so the answer after a refresh does not
+// wait for it. Refreshes in between accumulate into one warm.
+//
 // A Maintainer is single-writer: Refresh, Apply, and Precompute must be
 // serialized by the caller (serving layers do this with a per-session
 // refresh lock), and an in-flight Precompute must have returned — after its
 // context was cancelled, if need be — before the next Refresh runs, because
-// warming the sweeper migrates the replay states that sweep is using.
+// the sweeper Precompute warms and runs is the maintainer's own.
 // Indexes published through Index() are immutable snapshots and may be read
 // concurrently with anything.
 type Maintainer struct {
@@ -26,6 +32,12 @@ type Maintainer struct {
 	ix      *lattice.Index
 	sw      *summarize.Sweeper
 	sumOpts []summarize.Option
+
+	// stale reports that sw still serves an older index; idsPreserved that
+	// every refresh since kept cluster ids (DeltaStats.FastPath each time),
+	// so the warm may keep LCA memos.
+	stale        bool
+	idsPreserved bool
 }
 
 // New wraps an already built index at generation 1. Summarize options are
@@ -45,9 +57,9 @@ func (m *Maintainer) Index() *lattice.Index { return m.ix }
 // Refresh reconciles the maintainer with a re-run query result: the rows are
 // ranked (stable by descending value, as NewSpace would), diffed against the
 // current space, and — when anything changed — applied through the
-// incremental Rebase, warming the sweeper onto the new index and bumping the
-// generation. changed is false (and the generation unchanged) when the
-// result is identical to the current answer set.
+// incremental Rebase, bumping the generation. changed is false (and the
+// generation unchanged) when the result is identical to the current answer
+// set.
 func (m *Maintainer) Refresh(rows [][]string, vals []float64) (lattice.DeltaStats, bool, error) {
 	return m.RefreshCtx(context.Background(), rows, vals)
 }
@@ -69,6 +81,28 @@ func (m *Maintainer) RefreshCtx(ctx context.Context, rows [][]string, vals []flo
 		sp.SetAttr("changed", "false")
 		return stats, false, nil
 	}
+	sp.SetAttr("changed", "true")
+	return m.rebase(ctx, rows, vals, origin)
+}
+
+// RefreshWithOrigin applies a replacement answer set whose delta against
+// the current one the caller already knows: rows and vals in ranked
+// (non-increasing value) order, and origin as Rebase takes it — the current
+// rank each row carries over unchanged, or -1. It is Refresh without the
+// ranking sort and the diff, for callers that track answers by identity
+// (the engine's retained aggregation); callers skip it when nothing
+// changed. Rebase verifies every kept row against its origin tuple.
+func (m *Maintainer) RefreshWithOrigin(ctx context.Context, rows [][]string, vals []float64, origin []int32) (lattice.DeltaStats, error) {
+	ctx, sp := obs.StartSpan(ctx, "delta.refresh")
+	defer sp.End()
+	sp.SetAttr("changed", "true")
+	assertOrigin(m.ix.Space, rows, vals, origin)
+	stats, _, err := m.rebase(ctx, rows, vals, origin)
+	return stats, err
+}
+
+// rebase applies rows through Rebase and installs the result.
+func (m *Maintainer) rebase(ctx context.Context, rows [][]string, vals []float64, origin []int32) (lattice.DeltaStats, bool, error) {
 	_, rsp := obs.StartSpan(ctx, "delta.rebase")
 	nix, stats, err := m.ix.Rebase(rows, vals, origin)
 	rsp.End()
@@ -76,7 +110,6 @@ func (m *Maintainer) RefreshCtx(ctx context.Context, rows [][]string, vals []flo
 		return stats, false, err
 	}
 	m.install(nix, stats)
-	sp.SetAttr("changed", "true")
 	return stats, true, nil
 }
 
@@ -95,17 +128,14 @@ func (m *Maintainer) Apply(d lattice.Delta) (lattice.DeltaStats, error) {
 	return stats, nil
 }
 
-// install publishes the successor index, warms the sweeper chain onto it,
-// and bumps the generation.
+// install publishes the successor index and bumps the generation. The
+// sweeper, if any, now serves an older index; Precompute warms it.
 func (m *Maintainer) install(nix *lattice.Index, stats lattice.DeltaStats) {
 	if m.sw != nil {
-		if sw, err := m.sw.Warm(nix, stats.FastPath); err == nil {
-			m.sw = sw
-		} else {
-			// A failed warm leaves the old sweeper's state half-migrated;
-			// drop it and let the next Precompute cold-start.
-			m.sw = nil
+		if !m.stale {
+			m.stale, m.idsPreserved = true, true
 		}
+		m.idsPreserved = m.idsPreserved && stats.FastPath
 	}
 	m.ix = nix
 	m.gen++
@@ -113,12 +143,30 @@ func (m *Maintainer) install(nix *lattice.Index, stats lattice.DeltaStats) {
 
 // Precompute builds a (k, D) store over the current index, stamped with the
 // current generation. The underlying sweeper is created on first use and
-// warm-started across generations after that; a kMax beyond what the chain
-// was provisioned for re-provisions it cold. Precompute options (context,
-// parallelism) pass through; the generation stamp is set by the maintainer.
+// warm-started across generations after that: a sweeper left behind by
+// refreshes is first warmed onto the current index (a "delta.warm" span
+// under the context the options attach), once for all the refreshes since
+// it last ran. A kMax beyond what the chain was provisioned for
+// re-provisions it cold. Precompute options (context, parallelism) pass
+// through; the generation stamp is set by the maintainer.
 func (m *Maintainer) Precompute(kMin, kMax int, ds []int, opts ...precompute.Option) (*precompute.Store, error) {
 	if kMax < 1 {
 		return nil, fmt.Errorf("delta: kMax = %d, want >= 1", kMax)
+	}
+	ctx := precompute.ContextOf(opts)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if m.sw != nil && m.stale && m.sw.KMax() >= kMax {
+		_, wsp := obs.StartSpan(ctx, "delta.warm")
+		sw, err := m.sw.Warm(m.ix, m.idsPreserved)
+		wsp.End()
+		// A failed warm leaves the old sweeper's state half-migrated; drop
+		// it and cold-start below.
+		m.sw = sw
+		if err != nil {
+			m.sw = nil
+		}
 	}
 	if m.sw == nil || m.sw.KMax() < kMax {
 		sw, err := summarize.NewSweeper(m.ix, m.ix.L, kMax, m.sumOpts...)
@@ -127,6 +175,7 @@ func (m *Maintainer) Precompute(kMin, kMax int, ds []int, opts ...precompute.Opt
 		}
 		m.sw = sw
 	}
+	m.stale = false
 	// The maintainer's stamp goes first so an explicit caller-provided
 	// WithGeneration (a serving layer with its own version numbering) wins.
 	opts = append([]precompute.Option{precompute.WithGeneration(m.gen)}, opts...)

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 
 	"qagview/internal/obs"
@@ -141,6 +141,12 @@ func ExecProfile() ExecOption {
 // rows; both forms run the same vectorized pipeline and stay bit-identical
 // to the reference executor at every parallelism.
 func Execute(cat Catalog, q *Query, opts ...ExecOption) (*Result, error) {
+	res, _, err := executeTraced(cat, q, newExecConfig(opts), false)
+	return res, err
+}
+
+// newExecConfig applies opts over the defaults.
+func newExecConfig(opts []ExecOption) execConfig {
 	cfg := execConfig{par: runtime.GOMAXPROCS(0)}
 	for _, o := range opts {
 		o(&cfg)
@@ -148,37 +154,49 @@ func Execute(cat Catalog, q *Query, opts ...ExecOption) (*Result, error) {
 	if cfg.profile {
 		cfg.prof = newExecProf()
 	}
+	return cfg
+}
+
+// executeTraced runs the query under an "engine.execute" span, keeping the
+// group table as a Retained when retain is set and the query is foldable.
+func executeTraced(cat Catalog, q *Query, cfg execConfig, retain bool) (*Result, *Retained, error) {
 	ctx, sp := obs.StartSpan(cfg.ctx, "engine.execute")
 	if sp != nil {
 		sp.SetAttr("table", q.From().Table)
 		sp.SetInt("parallelism", int64(cfg.par))
 		cfg.ctx = ctx
 	}
-	res, err := execute(cat, q, cfg)
+	res, kept, err := execute(cat, q, cfg, retain)
 	sp.End()
 	if err == nil && cfg.prof != nil {
 		res.Profile = cfg.prof.snapshot()
 	}
-	return res, err
+	return res, kept, err
 }
 
-func execute(cat Catalog, q *Query, cfg execConfig) (*Result, error) {
+func execute(cat Catalog, q *Query, cfg execConfig, retain bool) (*Result, *Retained, error) {
 	if len(q.Joins) > 0 {
-		return executeJoin(cat, q, cfg)
+		res, err := executeJoin(cat, q, cfg)
+		return res, nil, err
 	}
 	rel, err := cat.Table(q.Table)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p, vp, err := planOp(cfg, q, []*relation.Relation{rel}, rel.Name(),
 		func(name string) (colRef, bool) { return lookupCol(rel, q, name) })
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if cfg.reference {
-		return executeProfiledRef(p, nil, cfg)
+		res, err := executeProfiledRef(p, nil, cfg)
+		return res, nil, err
 	}
-	return executeVec(vp, cfg)
+	if retain && foldable(q) {
+		return retainVec(vp, rel, cfg)
+	}
+	res, err := executeVec(vp, cfg)
+	return res, nil, err
 }
 
 // planOp runs the "plan" operator: it resolves the aggregation against the
@@ -474,36 +492,51 @@ func executeRef(p *execPlan, tuples [][]int32) (*Result, error) {
 		res.Rows = append(res.Rows, st.row)
 		res.Vals = append(res.Vals, finalize(q.Agg.Fn, st.sum, st.cnt, st.min, st.max))
 	}
-	orderAndLimit(q, res)
+	orderAndLimit(q, res, nil)
 	return res, nil
 }
 
-// orderAndLimit applies ORDER BY and LIMIT in place. Sorting is stable so
+// orderAndLimit applies ORDER BY and LIMIT in place, to ids too when it is
+// non-nil (the group id of each row), and returns ids. Sorting is stable so
 // first-seen group order breaks ties deterministically; both executors
 // produce that order, so their sorted output is bit-identical too.
-func orderAndLimit(q *Query, res *Result) {
+func orderAndLimit(q *Query, res *Result, ids []int32) []int32 {
 	if q.OrderBy != "" {
 		idx := make([]int, len(res.Rows))
 		for i := range idx {
 			idx[i] = i
 		}
-		sort.SliceStable(idx, func(a, b int) bool {
-			if q.Desc {
-				return res.Vals[idx[a]] > res.Vals[idx[b]]
+		// The comparison reports only "before" (-1) or not (0), which is
+		// all the insertion-and-merge stable sort consults, so ties and
+		// NaN values land exactly where sort.SliceStable put them.
+		slices.SortStableFunc(idx, func(a, b int) int {
+			if q.Desc && res.Vals[a] > res.Vals[b] || !q.Desc && res.Vals[a] < res.Vals[b] {
+				return -1
 			}
-			return res.Vals[idx[a]] < res.Vals[idx[b]]
+			return 0
 		})
 		rows := make([][]string, len(idx))
 		vals := make([]float64, len(idx))
+		var sorted []int32
+		if ids != nil {
+			sorted = make([]int32, len(idx))
+		}
 		for i, j := range idx {
 			rows[i], vals[i] = res.Rows[j], res.Vals[j]
+			if ids != nil {
+				sorted[i] = ids[j]
+			}
 		}
-		res.Rows, res.Vals = rows, vals
+		res.Rows, res.Vals, ids = rows, vals, sorted
 	}
 	if q.Limit >= 0 && q.Limit < len(res.Rows) {
 		res.Rows = res.Rows[:q.Limit]
 		res.Vals = res.Vals[:q.Limit]
+		if ids != nil {
+			ids = ids[:q.Limit]
+		}
 	}
+	return ids
 }
 
 func finalize(fn AggFunc, sum float64, cnt int64, min, max float64) float64 {

@@ -260,5 +260,56 @@ func FuzzExec(f *testing.F) {
 				}
 			}
 		}
+		if refErr == nil {
+			checkFoldSplit(t, cat, q, sql)
+		}
 	})
+}
+
+// checkFoldSplit runs a foldable single-table query split at a row derived
+// from its text: the retained aggregation is seeded on the table's first r
+// rows, the rest are appended, and the fold must equal a full execution
+// plus delta.Diff against the seed's output.
+func checkFoldSplit(t *testing.T, cat catalog, q *Query, sql string) {
+	full, ok := cat[q.Table]
+	if !ok || len(q.Joins) > 0 {
+		return
+	}
+	r := len(sql) % (full.NumRows() + 1)
+	head := make([]relation.Column, full.NumCols())
+	tail := make([]relation.Column, full.NumCols())
+	for c := range head {
+		col := full.Column(c)
+		head[c], tail[c] = *col, *col
+		head[c].Str, head[c].Int, head[c].Float = nil, nil, nil
+		switch col.Kind {
+		case relation.KindString:
+			head[c].Str = append([]string{}, col.Str[:r]...)
+			tail[c].Str = col.Str[r:]
+		case relation.KindInt:
+			head[c].Int = append([]int64{}, col.Int[:r]...)
+			tail[c].Int = col.Int[r:]
+		default:
+			head[c].Float = append([]float64{}, col.Float[:r]...)
+			tail[c].Float = col.Float[r:]
+		}
+	}
+	seedRel := relation.MustFromColumns(full.Name(), head...)
+	seedCat := catalog{q.Table: seedRel}
+	seed, kept, err := Retain(seedCat, q)
+	if err != nil || kept == nil {
+		return
+	}
+	rel, err := seedRel.Append(tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foldCat := catalog{q.Table: rel}
+	f, ok, err := kept.Fold(foldCat)
+	if err != nil {
+		t.Fatalf("fold at row %d: %v (query %q)", r, err, sql)
+	}
+	if ok {
+		checkFold(t, fmt.Sprintf("fold at row %d (query %q)", r, sql), foldCat, q, seed, f)
+	}
 }

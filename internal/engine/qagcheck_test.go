@@ -45,3 +45,43 @@ func TestQagcheckCatchesBadJoinTuples(t *testing.T) {
 	// The canonical order passes: ascending by table 0, then table 1.
 	assertJoinTuples([][]int32{{0, 0, 2}, {0, 1, 0}}, rels)
 }
+
+// The fold oracle must fire on a fold whose retained state is corrupt (a
+// sum no full execution reproduces) and on a wrong changed flag.
+func TestQagcheckCatchesBadFold(t *testing.T) {
+	q, err := Parse("select a, sum(x) as v from t group by a order by v desc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := relation.MustFromColumns("t", relation.StringCol("a", []string{"p", "q"}), relation.FloatCol("x", []float64{1, 2}))
+	next, err := rel.Append([]relation.Column{relation.StringCol("a", []string{"p"}), relation.FloatCol("x", []float64{5})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		corrupt func(*Retained)
+		want    string
+	}{
+		{"corrupt sum", func(r *Retained) { r.t.sum[0] += 1 }, "differs from a full execution"},
+		{"stale previous output", func(r *Retained) { r.bits[0]++ }, "origin"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, kept, err := Retain(catalog{"t": rel}, q)
+			if err != nil || kept == nil {
+				t.Fatalf("Retain: %v, %v", kept, err)
+			}
+			c.corrupt(kept)
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("the fold oracle accepted a corrupt fold")
+				}
+				if !strings.Contains(r.(string), c.want) {
+					t.Fatalf("panic %q, want it to mention %q", r, c.want)
+				}
+			}()
+			kept.Fold(catalog{"t": next})
+		})
+	}
+}

@@ -50,6 +50,7 @@ type vecPlan struct {
 	codes  [][]int32 // base-table dictionary codes per group column
 	codec  *pattern.Codec
 	tuples [][]int32 // row ids per FROM position; nil for a single-table scan
+	from   int       // first input row: 0, or on a fold the first appended row
 }
 
 // newVecPlan resolves the group columns' dictionary codes and derives the
@@ -503,10 +504,11 @@ func (t *groupTable) mergeMorsel(vp *vecPlan, b *morselBuf) {
 
 // finalizeResult renders the merged groups: HAVING filter, group rows from
 // the base rows of each group's first input row, then the shared ORDER BY /
-// LIMIT pass.
-func (t *groupTable) finalizeResult(vp *vecPlan) *Result {
+// LIMIT pass. ids holds each output row's group id.
+func (t *groupTable) finalizeResult(vp *vecPlan) (res *Result, ids []int32) {
 	q := vp.q
-	res := &Result{GroupBy: append([]string(nil), q.GroupBy...), ValName: q.Agg.Alias, Table: q.Table, Tables: q.Tables()}
+	res = &Result{GroupBy: append([]string(nil), q.GroupBy...), ValName: q.Agg.Alias, Table: q.Table, Tables: q.Tables()}
+	ids = []int32{}
 	for g := range t.firstRow {
 		keep := true
 		for h, hv := range q.Having {
@@ -525,9 +527,10 @@ func (t *groupTable) finalizeResult(vp *vecPlan) *Result {
 		}
 		res.Rows = append(res.Rows, row)
 		res.Vals = append(res.Vals, finalize(q.Agg.Fn, t.sum[g], t.cnt[g], t.min[g], t.max[g]))
+		ids = append(ids, int32(g))
 	}
-	orderAndLimit(q, res)
-	return res
+	ids = orderAndLimit(q, res, ids)
+	return res, ids
 }
 
 // ---- driver ----
@@ -538,7 +541,7 @@ func (t *groupTable) finalizeResult(vp *vecPlan) *Result {
 func executeVec(vp *vecPlan, cfg execConfig) (*Result, error) {
 	t := tablePool.Get().(*groupTable)
 	t.resetFor(vp.codec.Words(), len(vp.havingCols))
-	res, err := vp.run(t, cfg)
+	res, _, err := vp.run(t, cfg)
 	t.reset()
 	tablePool.Put(t)
 	return res, err
@@ -550,16 +553,16 @@ func executeVec(vp *vecPlan, cfg execConfig) (*Result, error) {
 // paths — a "scan" operator (morsel filter/key/gather, per-worker child
 // spans when parallel), a "merge" operator, and a "finalize" operator —
 // and never change claim order or accumulation order.
-func (vp *vecPlan) run(t *groupTable, cfg execConfig) (*Result, error) {
+func (vp *vecPlan) run(t *groupTable, cfg execConfig) (*Result, []int32, error) {
 	n := inputRows(vp.execPlan, vp.tuples)
-	nMorsels := (n + morselRows - 1) / morselRows
+	nMorsels := (n - vp.from + morselRows - 1) / morselRows
 	workers := cfg.par
 	if workers > nMorsels {
 		workers = nMorsels
 	}
 	ctx, vsp := obs.StartSpan(cfg.ctx, "vexec")
 	if vsp != nil {
-		vsp.SetInt("rows", int64(n))
+		vsp.SetInt("rows", int64(n-vp.from))
 		vsp.SetInt("morsels", int64(nMorsels))
 		vsp.SetInt("workers", int64(workers))
 		cfg.ctx = ctx
@@ -574,12 +577,12 @@ func (vp *vecPlan) run(t *groupTable, cfg execConfig) (*Result, error) {
 	}
 	if err != nil {
 		vsp.End()
-		return nil, err
+		return nil, nil, err
 	}
 	fin := cfg.prof.op("finalize")
 	t0 := profNow(fin)
 	_, fsp := obs.StartSpan(cfg.ctx, "finalize")
-	res := t.finalizeResult(vp)
+	res, ids := t.finalizeResult(vp)
 	fsp.End()
 	fin.addWall(t0)
 	fin.addRows(int64(len(t.firstRow)), int64(len(res.Rows)))
@@ -588,7 +591,7 @@ func (vp *vecPlan) run(t *groupTable, cfg execConfig) (*Result, error) {
 		fsp.SetInt("rows_out", int64(len(res.Rows)))
 	}
 	vsp.End()
-	return res, nil
+	return res, ids, nil
 }
 
 // runSeq processes and merges every morsel on the calling goroutine,
@@ -608,7 +611,7 @@ func (vp *vecPlan) runSeq(t *groupTable, cfg execConfig, n, nMorsels int, scan, 
 			err = ctx.Err()
 			break
 		}
-		lo, hi := morselBounds(m, n)
+		lo, hi := morselBounds(m, vp.from, n)
 		t0 := profNow(scan)
 		vp.processMorsel(b, lo, hi)
 		scan.observe(int64(hi-lo), int64(len(b.localOf)), t0)
@@ -674,7 +677,7 @@ func (vp *vecPlan) runPar(t *groupTable, cfg execConfig, n, nMorsels, workers in
 				}
 				claimed++
 				wb := bufPool.Get().(*morselBuf)
-				lo, hi := morselBounds(i, n)
+				lo, hi := morselBounds(i, vp.from, n)
 				t0 := profNow(scan)
 				vp.processMorsel(wb, lo, hi)
 				scan.observe(int64(hi-lo), int64(len(wb.localOf)), t0)
@@ -712,9 +715,9 @@ func (vp *vecPlan) runPar(t *groupTable, cfg execConfig, n, nMorsels, workers in
 	return nil
 }
 
-// morselBounds returns morsel m's range over n input rows.
-func morselBounds(m, n int) (int32, int32) {
-	lo := m * morselRows
+// morselBounds returns morsel m's range over input rows [from, n).
+func morselBounds(m, from, n int) (int32, int32) {
+	lo := from + m*morselRows
 	hi := lo + morselRows
 	if hi > n {
 		hi = n

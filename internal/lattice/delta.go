@@ -452,17 +452,25 @@ func (ix *Index) rebaseSlow(nsp *Space, remap, appends, deletes []int32, monoton
 	stats.Repacked = true
 	nc := len(nix.Clusters)
 
-	// Match the regenerated clusters against the old set by pattern. Patterns
-	// carrying a brand-new dictionary value cannot encode under the old
-	// dictionaries' domains, and Lookup correctly reports them absent.
+	// Match the regenerated clusters against the old set by pattern. When
+	// the two codecs share a key layout (the usual case: no dictionary
+	// outgrew its field), a new key is the old key of the same pattern and
+	// is looked up as is; otherwise the pattern is re-packed under the old
+	// codec. Either way a pattern carrying a brand-new dictionary value is
+	// correctly absent: no old cluster holds that id.
 	oldID := make([]int32, nc)
 	matched := 0
+	sameLayout := nix.codec.SameLayout(ix.codec)
 	for id := range nix.Clusters {
-		if c, ok := ix.Lookup(nix.Clusters[id].Pat); ok {
+		oldID[id] = -1
+		if sameLayout {
+			if oid, ok := ix.table.Find(nix.key(int32(id))); ok {
+				oldID[id] = oid
+				matched++
+			}
+		} else if c, ok := ix.Lookup(nix.Clusters[id].Pat); ok {
 			oldID[id] = c.ID
 			matched++
-		} else {
-			oldID[id] = -1
 		}
 	}
 	stats.NewClusters = nc - matched

@@ -87,6 +87,21 @@ func (c *Codec) CardFits(j, card int) bool {
 	return uint64(card) <= c.field[j]>>c.shift[j]
 }
 
+// SameLayout reports whether o packs every pattern into the same key as c:
+// the same attribute count, word count, and field of every attribute. Keys
+// of two such codecs can be compared across their tables directly.
+func (c *Codec) SameLayout(o *Codec) bool {
+	if c.m != o.m || c.words != o.words {
+		return false
+	}
+	for j := range c.field {
+		if c.word[j] != o.word[j] || c.field[j] != o.field[j] {
+			return false
+		}
+	}
+	return true
+}
+
 // AllStar returns a fresh key holding the all-star pattern.
 func (c *Codec) AllStar() []uint64 {
 	return append([]uint64(nil), c.allMask...)

@@ -312,3 +312,24 @@ func TestPackColumn(t *testing.T) {
 		}
 	}
 }
+
+// TestCodecSameLayout pins when two codecs pack alike: cardinalities that
+// keep every field width agree, a field that widens or an extra attribute
+// does not.
+func TestCodecSameLayout(t *testing.T) {
+	base := NewCodec([]int{3, 5, 40})
+	for _, tc := range []struct {
+		cards []int
+		same  bool
+	}{
+		{[]int{3, 5, 40}, true},
+		{[]int{2, 6, 63}, true},
+		{[]int{4, 5, 40}, false},
+		{[]int{3, 5, 64}, false},
+		{[]int{3, 5}, false},
+	} {
+		if got := base.SameLayout(NewCodec(tc.cards)); got != tc.same {
+			t.Errorf("SameLayout(%v) = %v, want %v", tc.cards, got, tc.same)
+		}
+	}
+}

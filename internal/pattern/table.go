@@ -75,6 +75,12 @@ func log2(pow2 int) int {
 // Len returns the number of keys stored.
 func (t *Table) Len() int { return t.n }
 
+// Bytes returns the table's storage size in bytes (entries and key words),
+// for cache accounting.
+func (t *Table) Bytes() int64 {
+	return int64(len(t.entries))*16 + int64(len(t.rest))*8
+}
+
 // home returns the home slot of the key whose first word is first and whose
 // further words are rest.
 func (t *Table) home(first uint64, rest []uint64) uint64 {

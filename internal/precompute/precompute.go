@@ -47,6 +47,16 @@ func Parallelism(n int) Option { return func(c *config) { c.parallelism = n } }
 // background sweeps whose session was evicted.
 func WithContext(ctx context.Context) Option { return func(c *config) { c.ctx = ctx } }
 
+// ContextOf returns the context opts attach through WithContext, or
+// context.Background().
+func ContextOf(opts []Option) context.Context {
+	cfg := defaultConfig()
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return cfg.ctx
+}
+
 // WithSummarize forwards options (Delta-Judgment, hybrid factor, ...) to the
 // underlying shared Fixed-Order phase and per-D replays.
 func WithSummarize(opts ...summarize.Option) Option {

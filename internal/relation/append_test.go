@@ -278,3 +278,48 @@ func TestAppendConcurrentSiblings(t *testing.T) {
 	sameRows(t, "parent", parent, want)
 	sameEncodings(t, "parent", parent, want)
 }
+
+// TestExtendsFollowsClaimedAppends pins the lineage check: a relation
+// extends itself and every ancestor on its line of first successors, and
+// nothing else — not a rebuild from identical columns, not a second
+// successor of one parent, not a shorter generation.
+func TestExtendsFollowsClaimedAppends(t *testing.T) {
+	base := MustFromColumns("t", testBatch([]string{"a", "b"}, []int64{1, 2}, []float64{0.5, 1.5})...)
+	first, err := base.Append(testBatch([]string{"c"}, []int64{3}, []float64{2.5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := first.Append(testBatch([]string{"d"}, []int64{4}, []float64{3.5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := base.Append(testBatch([]string{"x"}, []int64{9}, []float64{9.5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty, err := next.Append(testBatch(nil, nil, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt := rebuilt(t, testBatch([]string{"a", "b"}, []int64{1, 2}, []float64{0.5, 1.5}))
+	for _, tc := range []struct {
+		name      string
+		r, prev   *Relation
+		extending bool
+	}{
+		{"itself", base, base, true},
+		{"first successor", first, base, true},
+		{"successor of the first successor", next, base, true},
+		{"successor of the first successor, one back", next, first, true},
+		{"empty append", empty, next, true},
+		{"ancestor", base, first, false},
+		{"second successor", second, base, false},
+		{"second successor vs first", second, first, false},
+		{"first vs second successor", first, second, false},
+		{"rebuilt from the same columns", rebuilt, base, false},
+	} {
+		if got := tc.r.Extends(tc.prev.Lineage()); got != tc.extending {
+			t.Errorf("%s: Extends = %v, want %v", tc.name, got, tc.extending)
+		}
+	}
+}

@@ -119,6 +119,14 @@ type Relation struct {
 	owned    bool
 	extended atomic.Bool
 
+	// lineage names the line of generations r belongs to. FromColumns
+	// starts a new line and the claimed successor of Append continues it;
+	// each relation has at most one claimed successor, so the generations
+	// sharing a lineage are each a row prefix of the next (see Extends). A
+	// second Append from the same relation diverges from the first, so it
+	// starts a new line.
+	lineage uint64
+
 	// dicts and groups cache per-column dictionary encodings (see DictCodes)
 	// and code-grouped row indexes (see CodeGroups), built lazily under
 	// dictMu; the first n rows of the column data never change.
@@ -133,7 +141,7 @@ func FromColumns(name string, cols ...Column) (*Relation, error) {
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("relation %q: no columns", name)
 	}
-	r := &Relation{name: name, cols: cols, byName: make(map[string]int, len(cols)), n: cols[0].Len()}
+	r := &Relation{name: name, cols: cols, byName: make(map[string]int, len(cols)), n: cols[0].Len(), lineage: lineages.Add(1)}
 	for i := range cols {
 		c := &cols[i]
 		if c.Name == "" {
@@ -246,8 +254,10 @@ func (r *Relation) Append(batch []Column) (*Relation, error) {
 		}
 		cols[i] = c
 	}
-	next := &Relation{name: r.name, cols: cols, byName: r.byName, n: r.n + m, owned: true}
-	if claimed {
+	next := &Relation{name: r.name, cols: cols, byName: r.byName, n: r.n + m, owned: true, lineage: r.lineage}
+	if !claimed {
+		next.lineage = lineages.Add(1)
+	} else {
 		r.dictMu.Lock()
 		dicts := append([]*ColDict(nil), r.dicts...)
 		r.dictMu.Unlock()
@@ -259,6 +269,33 @@ func (r *Relation) Append(batch []Column) (*Relation, error) {
 		next.dicts = dicts
 	}
 	return next, nil
+}
+
+// lineages hands out lineage tokens; 0 is never assigned.
+var lineages atomic.Uint64
+
+// Lineage marks one generation of a relation: its line of appends and its
+// row count. It holds no column data, so keeping a Lineage does not keep
+// the generation's arrays alive after the table has moved on.
+type Lineage struct {
+	line uint64
+	rows int
+}
+
+// Lineage returns r's mark, for a later Extends.
+func (r *Relation) Lineage() Lineage { return Lineage{r.lineage, r.n} }
+
+// Rows returns the marked generation's row count.
+func (l Lineage) Rows() int { return l.rows }
+
+// Extends reports whether r descends through Append alone from the
+// generation prev marks, so that prev's rows are exactly r's first rows and
+// the dictionary codes of those rows agree (codes are assigned in
+// first-seen order). A relation extends its own mark. A table rebuilt from
+// columns (a fresh load, a snapshot, a CSV) extends nothing, whatever its
+// rows, and neither does a second successor of one relation.
+func (r *Relation) Extends(prev Lineage) bool {
+	return r.lineage == prev.line && r.n >= prev.rows
 }
 
 // appendRows appends add to s, writing into s's spare capacity when inPlace

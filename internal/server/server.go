@@ -122,6 +122,10 @@ type db struct {
 	// builds, session refreshes, and ad-hoc /v1/queries alike), so an
 	// ExecParallelism setting covers all execution paths uniformly.
 	execOpts []qagview.QueryOption
+	// afterSnapshot, when set, runs after every snapshot is taken, outside
+	// the lock. Tests use it to install a generation between a snapshot
+	// and the work done on it.
+	afterSnapshot func()
 }
 
 func newServerDB(execOpts ...qagview.QueryOption) *db {
@@ -131,8 +135,12 @@ func newServerDB(execOpts ...qagview.QueryOption) *db {
 // snapshot returns the current catalog and generations; both are immutable.
 func (d *db) snapshot() (*qagview.DB, map[string]uint64) {
 	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.cat, d.gens
+	cat, gens := d.cat, d.gens
+	d.mu.RUnlock()
+	if d.afterSnapshot != nil {
+		d.afterSnapshot()
+	}
+	return cat, gens
 }
 
 // installLocked publishes r in a copy of the catalog and returns its data

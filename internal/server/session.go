@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"qagview"
+	"qagview/internal/engine"
 	"qagview/internal/obs"
 )
 
@@ -42,6 +43,13 @@ type session struct {
 	live      *qagview.Live
 	refreshMu sync.Mutex
 	dead      atomic.Bool
+
+	// fold is the query's retained aggregation over the generation the
+	// live state reflects, seeded by the first refresh (nil before it, and
+	// for queries the engine does not fold). Only the refresh critical
+	// section touches it; foldBytes publishes its size to cache accounting.
+	fold      *engine.Retained
+	foldBytes atomic.Int64
 
 	view atomic.Pointer[sessionView]
 
@@ -305,16 +313,17 @@ func (m *sessionManager) build(ctx context.Context, db *db, id, sql string, l, k
 	m.cache.Add(id, s, sum.ApproxBytes())
 	m.mu.Unlock()
 	m.wg.Add(1)
-	go m.buildStore(buildCtx, s, v)
+	go m.buildStore(buildCtx, s, v, nil)
 	return s, nil
 }
 
 // freshen returns the session's current view, first reconciling it with the
-// table's data generation: the first read of a stale session re-runs the
-// query, applies the answer-set delta through the incremental maintenance
-// subsystem, supersedes any in-flight sweep (cancel + wait), and kicks off
-// the successor store build. Concurrent stale reads share one refresh
-// through the singleflight group.
+// table's data generation: the first read of a stale session folds the
+// appended rows into the session's retained aggregation (or re-runs the
+// query where it cannot), applies the answer-set delta through the
+// incremental maintenance subsystem, supersedes any in-flight sweep (cancel
+// + wait), and kicks off the successor store build. Concurrent stale reads
+// share one refresh through the singleflight group.
 func (m *sessionManager) freshen(ctx context.Context, db *db, s *session) (*sessionView, error) {
 	cur := s.currentView()
 	if s.dead.Load() || cur.dataVersion >= db.generationSum(s.Tables) {
@@ -324,7 +333,11 @@ func (m *sessionManager) freshen(ctx context.Context, db *db, s *session) (*sess
 		s.refreshMu.Lock()
 		defer s.refreshMu.Unlock()
 		cur := s.currentView()
-		want := db.generationSum(s.Tables)
+		// The data and its version label come from one catalog snapshot, so
+		// the view is labeled with exactly the data it reflects; an append
+		// after the snapshot makes the next read refresh again.
+		cat, gens := db.snapshot()
+		want := genSum(gens, s.Tables)
 		if s.dead.Load() || cur.dataVersion >= want {
 			return cur, nil // raced with another refresh or a delete
 		}
@@ -336,59 +349,142 @@ func (m *sessionManager) freshen(ctx context.Context, db *db, s *session) (*sess
 		rctx, rsp := obs.StartSpan(context.WithoutCancel(ctx), "session.refresh")
 		defer rsp.End()
 		rsp.SetAttr("session", s.ID)
-		res, err := db.query(rctx, s.SQL)
+		nv, path, err := m.refresh(rctx, ctx.Done(), rsp, db.execOptions(rctx), cat, s, cur, want)
 		if err != nil {
+			// The retained aggregation may have moved past the live state.
+			s.fold = nil
+			s.foldBytes.Store(0)
 			m.countRefresh(&m.stats.RefreshErrors)
-			return nil, fmt.Errorf("refresh query: %w", err)
+			return nil, err
 		}
-		if res.N() < s.L {
-			m.countRefresh(&m.stats.RefreshErrors)
-			return nil, fmt.Errorf("refreshed result has %d groups, below the session's l = %d", res.N(), s.L)
-		}
-		fp := resultFingerprint(res)
-		if fp == cur.dataFP {
-			// The answer set is byte-identical (e.g. the append fell below
-			// the query's HAVING threshold): bump the version label, sharing
-			// the current store build — finished or still sweeping — without
-			// cancelling anything.
-			nv := &sessionView{sum: cur.sum, dataVersion: want, dataFP: fp, build: cur.build}
-			s.view.Store(nv)
-			m.countRefresh(&m.stats.RefreshNoops)
-			return nv, nil
-		}
-		// Supersede the current generation's sweep: cancel it and wait for
-		// the build goroutine to let go of the maintainer (Live is
-		// single-writer; ready closes when the build returns).
-		cur.build.cancel()
-		//qag:allow lockscope deliberate: refreshMu serializes refreshes per session, and the superseded build was just cancelled, so ready closes promptly; waiting here is what guarantees Live's single-writer contract
-		<-cur.build.ready
-		if _, _, err := s.live.RefreshCtx(rctx, res); err != nil {
-			m.countRefresh(&m.stats.RefreshErrors)
-			return nil, fmt.Errorf("refresh: %w", err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		nv := &sessionView{
-			sum:         s.live.Summarizer(),
-			dataVersion: want,
-			dataFP:      fp,
-			build:       newStoreBuild(cancel),
-		}
-		s.view.Store(nv)
-		if s.dead.Load() {
-			cancel() // lost a race with eviction; don't leak the build
-		}
-		m.mu.Lock()
-		m.stats.Refreshes++
-		m.cache.Resize(s.ID, nv.sum.ApproxBytes())
-		m.mu.Unlock()
-		m.wg.Add(1)
-		go m.buildStore(ctx, s, nv)
+		rsp.SetAttr("path", path)
 		return nv, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return v.(*sessionView), nil
+}
+
+// refresh reconciles the session with catalog snapshot cat, whose summed
+// generation is want, publishes the successor view, and reports the path it
+// took: "fold", "rescan", or "noop" when the answer set did not change. It
+// folds the appended rows into the retained aggregation when it can: the
+// fold knows the delta by group id, so an unchanged answer set needs no
+// query and no fingerprint, and a changed one goes straight to the rebase.
+// Otherwise (the first refresh, a replaced table, a dictionary outgrowing
+// its key field, a join) it re-runs the query, re-seeding the retained
+// aggregation where the query folds, and diffs the result against the live
+// state. The successor store build starts once answered is closed (see
+// buildStore).
+func (m *sessionManager) refresh(ctx context.Context, answered <-chan struct{}, sp *obs.Span, opts []qagview.QueryOption, cat *qagview.DB, s *session, cur *sessionView, want uint64) (*sessionView, string, error) {
+	var f *engine.Folded
+	if s.fold != nil {
+		var ok bool
+		var err error
+		if f, ok, err = s.fold.Fold(cat, opts...); err != nil {
+			return nil, "", fmt.Errorf("refresh fold: %w", err)
+		}
+		if !ok {
+			f, s.fold = nil, nil
+		}
+	}
+	// An unchanged answer set keeps the current store build — finished or
+	// still sweeping — under the new version label, cancelling nothing.
+	same := &sessionView{sum: cur.sum, dataVersion: want, dataFP: cur.dataFP, build: cur.build}
+	var res *qagview.Result
+	path, fp := "fold", ""
+	if f != nil {
+		sp.SetInt("rows_folded", int64(f.Rows))
+		if !f.Changed {
+			return m.publish(s, same, false), "noop", nil
+		}
+		res = f.Result
+		if m.snapshotDir != "" {
+			fp = resultFingerprint(res) // names the view's snapshot file
+		}
+	} else {
+		q, err := engine.Parse(s.SQL)
+		if err == nil {
+			res, s.fold, err = engine.Retain(cat, q, opts...)
+		}
+		if err != nil {
+			return nil, "", fmt.Errorf("refresh query: %w", err)
+		}
+		path, fp = "rescan", resultFingerprint(res)
+		if fp == cur.dataFP {
+			// Byte-identical (e.g. the append fell below the HAVING
+			// threshold).
+			return m.publish(s, same, false), "noop", nil
+		}
+	}
+	if res.N() < s.L {
+		return nil, "", fmt.Errorf("refreshed result has %d groups, below the session's l = %d", res.N(), s.L)
+	}
+	// Supersede the current generation's sweep: cancel it and wait for
+	// the build goroutine to let go of the maintainer (Live is
+	// single-writer; ready closes when the build returns).
+	cur.build.cancel()
+	//qag:allow lockscope deliberate: refreshMu serializes refreshes per session, and the superseded build was just cancelled, so ready closes promptly; waiting here is what guarantees Live's single-writer contract
+	<-cur.build.ready
+	changed := true
+	var err error
+	if f != nil {
+		_, err = s.live.RefreshWithOrigin(ctx, res, f.Origin)
+	} else {
+		_, changed, err = s.live.RefreshCtx(ctx, res)
+	}
+	if err != nil {
+		return nil, "", fmt.Errorf("refresh: %w", err)
+	}
+	if !changed {
+		// A rescan after folds had no fingerprint of the current view to
+		// compare (folds compute none), so only the diff found the answer
+		// set unchanged, after the sweep was superseded: keep its store if
+		// it had finished, sweep again otherwise.
+		path, same.dataFP = "noop", fp
+		if cur.build.store != nil {
+			return m.publish(s, same, false), path, nil
+		}
+	}
+	bctx, cancel := context.WithCancel(context.Background())
+	nv := &sessionView{sum: s.live.Summarizer(), dataVersion: want, dataFP: fp, build: newStoreBuild(cancel)}
+	m.publish(s, nv, changed)
+	if s.dead.Load() {
+		cancel() // lost a race with eviction; don't leak the build
+	}
+	m.wg.Add(1)
+	go m.buildStore(bctx, s, nv, answered)
+	return nv, path, nil
+}
+
+// publish installs nv as the session's view, counts it as a refresh or a
+// no-op, and re-accounts the session's cache cost, retained aggregation
+// included.
+func (m *sessionManager) publish(s *session, nv *sessionView, changed bool) *sessionView {
+	s.foldBytes.Store(foldBytes(s.fold))
+	s.view.Store(nv)
+	cost := nv.sum.ApproxBytes() + s.foldBytes.Load()
+	if st, err, ok := nv.storeIfReady(); ok && err == nil && st != nil {
+		cost += st.SizeBytes()
+	}
+	m.mu.Lock()
+	if changed {
+		m.stats.Refreshes++
+	} else {
+		m.stats.RefreshNoops++
+	}
+	m.cache.Resize(s.ID, cost)
+	m.mu.Unlock()
+	return nv
+}
+
+// foldBytes is a retained aggregation's cache cost (0 for none).
+func foldBytes(r *engine.Retained) int64 {
+	if r == nil {
+		return 0
+	}
+	return r.ApproxBytes()
 }
 
 func (m *sessionManager) countRefresh(counter *int64) {
@@ -403,9 +499,22 @@ func (m *sessionManager) countRefresh(counter *int64) {
 // the warm sweeper chain, so a refreshed session reuses the previous
 // generation's replay state — and snapshotting the result for the next
 // restart.
-func (m *sessionManager) buildStore(ctx context.Context, s *session, v *sessionView) {
+//
+// A refresh's build first waits for answered, the end of the read that
+// triggered the refresh (nil: no wait). That read is still computing its
+// answer from the refreshed summarizer; the build's first step, warming the
+// sweeper, is as costly as the refresh itself, and running the two at once
+// would occupy both cores of a small machine while other requests, such as
+// appends, wait for one.
+func (m *sessionManager) buildStore(ctx context.Context, s *session, v *sessionView, answered <-chan struct{}) {
 	defer m.wg.Done()
 	defer close(v.build.ready)
+	if answered != nil {
+		select {
+		case <-answered:
+		case <-ctx.Done():
+		}
+	}
 	// Background builds run on a cancel-on-eviction context with no request
 	// attached, so they root their own trace (recorded only while the global
 	// gate is on; nil otherwise).
@@ -452,7 +561,7 @@ func (m *sessionManager) buildStore(ctx context.Context, s *session, v *sessionV
 // resize re-accounts the session's cache cost once its store exists.
 func (m *sessionManager) resize(s *session, v *sessionView) {
 	m.mu.Lock()
-	m.cache.Resize(s.ID, v.sum.ApproxBytes()+v.build.store.SizeBytes())
+	m.cache.Resize(s.ID, v.sum.ApproxBytes()+v.build.store.SizeBytes()+s.foldBytes.Load())
 	m.mu.Unlock()
 }
 

@@ -1,8 +1,12 @@
 package summarize
 
 // Warm start across data generations: when incremental maintenance
-// (lattice.ApplyDelta) produces a successor index, the next sweeper does not
-// start from scratch. The shared Fixed-Order phase must re-run — appended
+// (lattice.ApplyDelta, Rebase) produces a successor index, the next sweeper
+// does not start from scratch. The maintainer (internal/delta) warms lazily,
+// at the start of the next precompute, which a serving layer runs in the
+// background after answering the refreshing read: the warm may then span
+// several successive indexes at once, keeping LCA memos only if every step
+// preserved cluster ids. The shared Fixed-Order phase must re-run — appended
 // and deleted tuples change coverage sums, so the greedy choices may change,
 // and correctness demands re-deriving them — but every allocation-heavy
 // piece of replay state carries over: the base workset's dense membership
@@ -15,7 +19,8 @@ package summarize
 // Warm returns a sweeper over the successor index ix, reusing this sweeper's
 // state as described above. idsPreserved must be true only when every
 // cluster id of the receiver's index names the same pattern in ix — the
-// DeltaStats.FastPath guarantee of lattice.ApplyDelta — and controls whether
+// DeltaStats.FastPath guarantee of lattice.ApplyDelta, for every step
+// between the two indexes — and controls whether
 // LCA memos survive or are flushed. The receiver must not be used after
 // Warm returns: its base workset and pooled states now belong to the new
 // sweeper.

@@ -319,7 +319,8 @@ func (s *Summarizer) DecodeStore(r io.Reader) (*Store, error) {
 // (internal/delta): it absorbs changes to the underlying answer set without
 // rebuilding the cluster space, warm-starts summarization sweepers across
 // data generations, and stamps precomputed stores with a monotonically
-// increasing data version.
+// increasing data version. A refresh publishes the new summarizer at once;
+// the sweeper's warm-up onto it runs at the start of the next Precompute.
 //
 // A Live is single-writer: Refresh and ApplyDelta must be serialized by the
 // caller, and an in-flight Precompute must have returned (cancel its context
@@ -373,6 +374,23 @@ func (l *Live) RefreshCtx(ctx context.Context, res *Result) (DeltaStats, bool, e
 	return stats, changed, nil
 }
 
+// RefreshWithOrigin applies a changed result whose delta against the
+// current answer set the caller already knows, skipping Refresh's ranking
+// sort and diff: res must be in ranked order (non-increasing values), and
+// origin[i] is the current rank row i carries over unchanged (same rendered
+// row, same value bits), or -1. The data version bumps.
+func (l *Live) RefreshWithOrigin(ctx context.Context, res *Result, origin []int32) (DeltaStats, error) {
+	if res == nil {
+		return DeltaStats{}, fmt.Errorf("qagview: nil result")
+	}
+	stats, err := l.m.RefreshWithOrigin(ctx, res.Rows, res.Vals, origin)
+	if err != nil {
+		return stats, err
+	}
+	l.sum = &Summarizer{space: l.m.Index().Space, ix: l.m.Index()}
+	return stats, nil
+}
+
 // ApplyDelta applies a prebuilt batch of answer-tuple appends and deletes
 // (for callers that know their delta without re-running a query).
 func (l *Live) ApplyDelta(d DeltaBatch) (DeltaStats, error) {
@@ -385,9 +403,10 @@ func (l *Live) ApplyDelta(d DeltaBatch) (DeltaStats, error) {
 }
 
 // Precompute materializes the (k, D) store for the current generation,
-// stamped with the data version, reusing the warm sweeper chain: after a
-// refresh, replay states and (on the fast path) LCA memos from the previous
-// generation's sweep are reused instead of re-allocated.
+// stamped with the data version, reusing the warm sweeper chain: after
+// refreshes, the sweeper is warmed onto the current index first, and replay
+// states and (when every refresh since kept cluster ids) LCA memos from the
+// previous sweep are reused instead of re-allocated.
 func (l *Live) Precompute(kMin, kMax int, ds []int, opts ...PrecomputeOption) (*Store, error) {
 	return l.m.Precompute(kMin, kMax, ds, opts...)
 }
