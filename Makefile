@@ -1,7 +1,9 @@
 # Core benchmarks tracked across PRs: the precompute grid (allocations per
-# replay are the dense-engine target figure), the cluster-space build across
-# worker counts, the per-replay sweep unit, the single-run algorithms, the
-# Delta-Judgment ablation, and the live-table append/refresh cycle.
+# replay are the dense-engine target figure), the cluster-space build
+# (generation plus posting bitmaps; coverage fills on demand) and its
+# incremental successor, the per-replay sweep unit, the single-run
+# algorithms, the Delta-Judgment ablation, and the live-table
+# append/refresh cycle.
 BENCH_ROOT    := BenchmarkFig7PrecomputeKParallel|BenchmarkFig6VaryD|BenchmarkFig8Delta|BenchmarkBuildIndexMovieLens|BenchmarkApplyDelta|BenchmarkExecuteMovieLens|BenchmarkAppendWAL|BenchmarkAppendRows|BenchmarkJoinMovieLens|BenchmarkJoinTriangle|BenchmarkTraceOverhead|BenchmarkLiveRefresh
 BENCH_SUMMARIZE := BenchmarkSweeperRunD
 BENCH_COUNT   ?= 1

@@ -24,7 +24,6 @@ func main() {
 	scale := flag.String("scale", "paper", "dataset scale: small (fast) or paper (MovieLens-100K sized)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	par := flag.Int("par", 1, "precompute worker count (1 = the paper's sequential timings, 0 = GOMAXPROCS)")
-	buildpar := flag.Int("buildpar", 1, "cluster-space build worker count (1 = the paper's sequential timings, 0 = GOMAXPROCS)")
 	flag.Parse()
 
 	if *list {
@@ -49,7 +48,6 @@ func main() {
 		os.Exit(1)
 	}
 	env.Parallelism = *par
-	env.BuildParallelism = *buildpar
 
 	ids := flag.Args()
 	var selected []exp.Experiment

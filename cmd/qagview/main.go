@@ -42,7 +42,6 @@ func run() error {
 	kmax := flag.Int("kmax", 12, "guidance: maximum k")
 	dlist := flag.String("dlist", "1,2,3", "guidance: comma-separated D values")
 	par := flag.Int("par", 0, "guidance: precompute worker count (0 = GOMAXPROCS)")
-	buildpar := flag.Int("buildpar", 0, "cluster-space build worker count (0 = GOMAXPROCS)")
 	flag.Parse()
 
 	db := qagview.NewDB()
@@ -111,11 +110,7 @@ func run() error {
 	if coverage > res.N() {
 		coverage = res.N()
 	}
-	var bopts []qagview.BuildOption
-	if *buildpar > 0 {
-		bopts = append(bopts, qagview.BuildParallelism(*buildpar))
-	}
-	s, err := qagview.NewSummarizer(res, coverage, bopts...)
+	s, err := qagview.NewSummarizer(res, coverage)
 	if err != nil {
 		return err
 	}

@@ -8,12 +8,12 @@
 // Rules:
 //
 //  1. Foreign index writes: outside internal/lattice, any write to a field
-//     of lattice.Cluster or lattice.Index (`c.Sum = ...`,
-//     `ix.Clusters[i] = ...`), or through a coverage-arena subslice
-//     (`c.Cov[i] = ...`, including one-level local aliases
-//     `cov := c.Cov; cov[i] = ...`), is flagged. Cluster.Cov is a view into
-//     the index's shared arena: writing one cluster's view corrupts its
-//     neighbors for every reader of the index.
+//     of lattice.Cluster or lattice.Index (`c.Sum = ...`, `ix.L = ...`), or
+//     through a coverage subslice (`c.Cov[i] = ...`, including one-level
+//     local aliases `cov := c.Cov; cov[i] = ...`), is flagged. Cluster.Cov
+//     is a view into a coverage chunk the index shares among its filled
+//     clusters: writing one cluster's view corrupts its neighbors for
+//     every reader of the index.
 //
 //  2. Dict mutation without Clone: outside internal/relation, calling the
 //     interning method relation.Dict.ID — which mutates the dictionary — is

@@ -57,8 +57,8 @@ func SmartDrillDown(ix *lattice.Index, k int, scope Scope) ([]Rule, error) {
 	var out []Rule
 	for len(out) < k {
 		var best *Rule
-		for ci := range ix.Clusters {
-			c := &ix.Clusters[ci]
+		for id := int32(0); id < int32(ix.NumClusters()); id++ {
+			c := ix.Cluster(id)
 			w := ix.Space.M() - c.Pat.Level()
 			if w == 0 {
 				continue // the all-star rule carries zero weight

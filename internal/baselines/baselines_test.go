@@ -62,7 +62,8 @@ func TestSmartDrillDownGreedy(t *testing.T) {
 	// the max marginal first, and marginals only shrink as coverage grows...
 	// not strictly monotone in general, but the first rule must dominate any
 	// single-rule alternative).
-	for _, c := range ix.Clusters {
+	for id := int32(0); id < int32(ix.NumClusters()); id++ {
+		c := ix.Cluster(id)
 		w := ix.Space.M() - c.Pat.Level()
 		if w == 0 {
 			continue
@@ -120,7 +121,8 @@ func TestSmartDrillDownScopeAll(t *testing.T) {
 	// Every element covered by at least one generated cluster must be
 	// covered by the rule set (greedy exhausts marginals).
 	reachable := map[int32]bool{}
-	for _, c := range ix.Clusters {
+	for id := int32(0); id < int32(ix.NumClusters()); id++ {
+		c := ix.Cluster(id)
 		if s.M()-c.Pat.Level() == 0 {
 			continue
 		}

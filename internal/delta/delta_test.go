@@ -392,7 +392,7 @@ func assertIndexEqual(t *testing.T, label string, got, want *lattice.Index) {
 			t.Fatalf("%s: rank %d differs", label, i)
 		}
 	}
-	for id := range want.Clusters {
+	for id := 0; id < want.NumClusters(); id++ {
 		g, w := got.Cluster(int32(id)), want.Cluster(int32(id))
 		if !reflect.DeepEqual(gs.Render(g.Pat), ws.Render(w.Pat)) || !reflect.DeepEqual(g.Cov, w.Cov) || math.Float64bits(g.Sum) != math.Float64bits(w.Sum) {
 			t.Fatalf("%s: cluster %d differs", label, id)

@@ -29,13 +29,6 @@ type Env struct {
 	// comparable to the paper (the single-run path has no parallel variant).
 	Parallelism int
 
-	// BuildParallelism bounds the worker pool of the cluster-space builds
-	// the experiments time (lattice.BuildParallelism). 0 keeps the library
-	// default (GOMAXPROCS); cmd/experiments defaults to 1 for the same
-	// paper-comparability reason as Parallelism. The figscale experiment
-	// sweeps worker counts itself and ignores this setting.
-	BuildParallelism int
-
 	mlCfg movielens.Config
 	tpCfg tpcds.Config
 
@@ -49,15 +42,6 @@ func (e *Env) preOpts() []qagview.PrecomputeOption {
 		return nil
 	}
 	return []qagview.PrecomputeOption{qagview.Parallelism(e.Parallelism)}
-}
-
-// buildOpts translates the environment's build-parallelism setting into
-// summarizer build options.
-func (e *Env) buildOpts() []qagview.BuildOption {
-	if e.BuildParallelism == 0 {
-		return nil
-	}
-	return []qagview.BuildOption{qagview.BuildParallelism(e.BuildParallelism)}
 }
 
 // NewEnv generates the MovieLens-like dataset eagerly and remembers the

@@ -27,7 +27,7 @@ func Registry() []Experiment {
 		{"fig7l", "Single vs precompute vs L (Figures 7c/7d)", Fig7L},
 		{"fig7n", "Single vs precompute vs N (Figures 7e/7f)", Fig7N},
 		{"fig7par", "Parallel precompute scaling over the (k, D) grid", Fig7Par},
-		{"figscale", "Cluster-space build throughput vs N and workers", FigScale},
+		{"figscale", "Cluster-space build throughput vs N", FigScale},
 		{"fig8a", "Cluster generation/mapping ablation (Figure 8a)", Fig8A},
 		{"fig8b", "Delta-Judgment ablation (Figure 8b)", Fig8B},
 		{"fig9", "TPC-DS scalability (Figures 9a/9b)", Fig9},

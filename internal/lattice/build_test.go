@@ -12,14 +12,15 @@ import (
 
 // assertIndexBitIdentical compares every observable of two indexes: cluster
 // ids and patterns, coverage lists, exact value-sum bits, singleton and
-// all-star wiring, and the arena length.
+// all-star wiring, and the filled coverage length. It fills every cluster
+// of both.
 func assertIndexBitIdentical(t *testing.T, label string, a, b *Index) {
 	t.Helper()
 	if a.NumClusters() != b.NumClusters() {
 		t.Fatalf("%s: %d clusters vs %d", label, a.NumClusters(), b.NumClusters())
 	}
-	for i := range a.Clusters {
-		ca, cb := &a.Clusters[i], &b.Clusters[i]
+	for i := int32(0); i < int32(a.NumClusters()); i++ {
+		ca, cb := a.Cluster(i), b.Cluster(i)
 		if ca.ID != cb.ID || !pattern.Equal(ca.Pat, cb.Pat) {
 			t.Fatalf("%s: cluster %d is (%d, %v) vs (%d, %v)", label, i, ca.ID, ca.Pat, cb.ID, cb.Pat)
 		}
@@ -104,25 +105,6 @@ func TestBuildIndexOneWordMatchesTwoWords(t *testing.T) {
 	}
 }
 
-// TestBuildIndexParallelismDeterministic pins the parallel phase-2 build:
-// every worker count, at one and two key words, must produce the sequential
-// index bit for bit.
-func TestBuildIndexParallelismDeterministic(t *testing.T) {
-	for _, s := range wideSpaces(t, randomSpace(t, 50, 300, 5, 3)) {
-		base, err := BuildIndex(s, 40, BuildParallelism(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, par := range []int{2, 3, 4, 8, 1000} {
-			ix, err := BuildIndex(s, 40, BuildParallelism(par))
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertIndexBitIdentical(t, fmt.Sprintf("words=%d/par=%d", base.codec.Words(), par), base, ix)
-		}
-	}
-}
-
 // TestBuildIndexIdOpsMatchPatternOps: the id-based Distance/Covers accessors
 // must agree with the slice pattern algebra at one and two key words.
 func TestBuildIndexIdOpsMatchPatternOps(t *testing.T) {
@@ -135,7 +117,7 @@ func TestBuildIndexIdOpsMatchPatternOps(t *testing.T) {
 		for i := 0; i < 2000; i++ {
 			a := int32(rng.Intn(ix.NumClusters()))
 			b := int32(rng.Intn(ix.NumClusters()))
-			pa, pb := ix.Clusters[a].Pat, ix.Clusters[b].Pat
+			pa, pb := ix.Cluster(a).Pat, ix.Cluster(b).Pat
 			if got, want := ix.Distance(a, b), pattern.Distance(pa, pb); got != want {
 				t.Fatalf("words=%d Distance(%v, %v) = %d, want %d", ix.codec.Words(), pa, pb, got, want)
 			}
@@ -179,33 +161,25 @@ func TestBuildIndexAttributeBoundary(t *testing.T) {
 	}
 }
 
-// TestBuildStatsPhases sanity-checks the new BuildStats fields: phases are
-// timed, the worker count is clamped and honored, and the naive path reports
-// a single worker.
+// TestBuildStatsPhases sanity-checks BuildStats: every phase is timed, and
+// each path counts its own coverage work — N·m posting bits on demand,
+// |C|·N probes naively.
 func TestBuildStatsPhases(t *testing.T) {
 	s := randomSpace(t, 53, 120, 4, 3)
-	_, st, err := BuildIndexStats(s, 20, true, BuildParallelism(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Workers != 4 {
-		t.Errorf("Workers = %d, want 4", st.Workers)
-	}
-	if st.GenerateMs < 0 || st.MapMs < 0 || st.AssembleMs < 0 {
-		t.Errorf("negative phase timing: %+v", st)
-	}
-	_, st, err = BuildIndexStats(s, 20, true, BuildParallelism(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Workers != 1 {
-		t.Errorf("parallelism 0 clamps to 1 worker, got %d", st.Workers)
-	}
-	_, st, err = BuildIndexStats(s, 20, false, BuildParallelism(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Workers != 1 {
-		t.Errorf("naive path reports %d workers, want 1", st.Workers)
+	for _, optimized := range []bool{true, false} {
+		ix, st, err := BuildIndexStats(s, 20, optimized)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !(st.GenerateMs > 0 && st.MapMs > 0 && st.AssembleMs > 0) {
+			t.Errorf("optimized=%v: phase timings %+v", optimized, st)
+		}
+		want := s.N() * s.M()
+		if !optimized {
+			want = s.N() * ix.NumClusters()
+		}
+		if st.MappingOps != want {
+			t.Errorf("optimized=%v: MappingOps = %d, want %d", optimized, st.MappingOps, want)
+		}
 	}
 }

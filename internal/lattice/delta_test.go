@@ -62,8 +62,8 @@ func assertIndexEquivalent(t *testing.T, label string, got, want *Index) {
 	if got.NumClusters() != want.NumClusters() {
 		t.Fatalf("%s: %d clusters vs %d", label, got.NumClusters(), want.NumClusters())
 	}
-	for i := range got.Clusters {
-		cg, cw := &got.Clusters[i], &want.Clusters[i]
+	for i := int32(0); i < int32(got.NumClusters()); i++ {
+		cg, cw := got.Cluster(i), want.Cluster(i)
 		if cg.ID != cw.ID {
 			t.Fatalf("%s: cluster %d has id %d vs %d", label, i, cg.ID, cw.ID)
 		}
@@ -112,7 +112,34 @@ func applyAndCheck(t *testing.T, label string, ix *Index, d Delta) (*Index, Delt
 		t.Fatalf("%s: rebuild index: %v", label, err)
 	}
 	assertIndexEquivalent(t, label, nix, rebuilt)
+	if n, d := churnByPattern(ix, nix); stats.NewClusters != n || stats.DroppedClusters != d {
+		t.Fatalf("%s: churn %d new, %d dropped; the pattern sets differ by %d and %d", label, stats.NewClusters, stats.DroppedClusters, n, d)
+	}
 	return nix, stats
+}
+
+// churnByPattern counts the rendered patterns only b generates and those
+// only a generates.
+func churnByPattern(a, b *Index) (added, dropped int) {
+	set := func(ix *Index) map[string]bool {
+		m := make(map[string]bool, ix.NumClusters())
+		for _, c := range allClusters(ix) {
+			m[ix.Space.FormatPattern(c.Pat)] = true
+		}
+		return m
+	}
+	sa, sb := set(a), set(b)
+	for p := range sb {
+		if !sa[p] {
+			added++
+		}
+	}
+	for p := range sa {
+		if !sb[p] {
+			dropped++
+		}
+	}
+	return added, dropped
 }
 
 // lowVal returns a value strictly below the top-L threshold of the space, so
@@ -162,8 +189,8 @@ func TestApplyDeltaFastPath(t *testing.T) {
 		if stats.Appended != 10 || stats.Deleted != 3 {
 			t.Fatalf("miscounted batch: %+v", stats)
 		}
-		if stats.TouchedClusters == 0 {
-			t.Fatal("appends must touch at least the all-star cluster")
+		if stats.TouchedClusters != 0 || stats.Repacked || nix.generation != ix.generation {
+			t.Fatalf("fast path regenerated instead of sharing the generation: %+v", stats)
 		}
 		if nix.NumClusters() != ix.NumClusters() {
 			t.Fatalf("cluster count changed: %d vs %d", nix.NumClusters(), ix.NumClusters())
@@ -464,7 +491,7 @@ func TestApplyDeltaCopyOnWrite(t *testing.T) {
 				b := int32(rng.Intn(ix.NumClusters()))
 				_ = ix.Distance(a, b)
 				_ = ix.Covers(a, b)
-				if _, ok := ix.Lookup(ix.Clusters[a].Pat); !ok {
+				if _, ok := ix.Lookup(ix.Cluster(a).Pat); !ok {
 					t.Error("published cluster pattern vanished")
 					return
 				}

@@ -2,21 +2,22 @@ package lattice
 
 import (
 	"fmt"
-	"runtime"
+	"math/bits"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"qagview/internal/pattern"
 )
 
 // Cluster is a pattern together with the answer tuples it covers and their
-// value sum. Clusters are owned by an Index, stored densely in Index.Clusters,
-// and identified by their position there.
+// value sum. Clusters are owned by an Index and identified by their id; an
+// index builds a cluster's record the first time it hands the cluster out.
 type Cluster struct {
-	// ID is the cluster's position in Index.Clusters.
+	// ID is the cluster's id in its index, in [0, NumClusters).
 	ID int32
 	// Cov lists covered tuple indices into Space.Tuples, ascending. It is a
-	// view into the index's shared coverage arena: clusters do not own their
+	// view into a coverage chunk the index owns: clusters do not own their
 	// coverage storage individually.
 	Cov []int32
 	// Pat is the cluster pattern.
@@ -36,36 +37,61 @@ func (c *Cluster) Avg() float64 {
 	return c.Sum / float64(len(c.Cov))
 }
 
-// Index is the materialized cluster space for one (S, L) pair: every pattern
-// that generalizes at least one top-L tuple, mapped to the tuples it covers.
-// All clusters any feasible solution can use come from this set, because a
+// Index is the cluster space for one (S, L) pair: every pattern that
+// generalizes at least one top-L tuple, with the tuples it covers. All
+// clusters any feasible solution can use come from this set, because a
 // useful cluster must cover a top-L tuple or improve the average, and the
 // paper's algorithms (like its prototype) draw candidates from exactly this
 // generated space.
 //
-// The cluster space is stored columnar: cluster records live in one dense
-// slice (no per-cluster heap objects), and all coverage lists share one
-// []int32 arena, with each Cluster.Cov a subslice of it. Every cluster
-// pattern is additionally packed into a key of one or more words (see
-// pattern.NewCodec): the by-pattern table is keyed on those words, and
-// Distance/Covers/LCA between clusters run word-parallel on them.
-// Everything is immutable after BuildIndex, so an Index may be shared freely
-// across goroutines.
+// Building an index generates the cluster set (ids, packed keys, the key
+// table) and one posting bitmap per (attribute, value) over the ranked
+// tuples. A cluster's record — pattern, coverage and value sum — is filled
+// the first time the index hands the cluster out (Cluster, Singleton,
+// AllStar, Lookup, LCACluster): its coverage is the AND of the bitmaps of
+// its non-star attributes. The algorithms reach only a few percent of the
+// generated clusters, so most are never filled. Distance and Covers read
+// the packed keys and fill nothing.
+//
+// An Index may be shared freely across goroutines: the generated space is
+// immutable, a filled record never changes, and handing out a filled
+// cluster is one atomic load. Fills serialize on an index mutex.
 type Index struct {
 	// Space is the underlying answer space.
 	Space *Space
 	// L is the coverage parameter the index was built for.
 	L int
-	// Clusters lists all generated clusters densely; Clusters[i].ID == i.
-	// Pointers into this slice stay valid for the index's lifetime.
-	Clusters []Cluster
 
-	// covArena backs every Cluster.Cov, laid out cluster by cluster.
-	covArena []int32
+	*generation
 
-	// codec packs patterns into keys of codec.Words() words; keys holds
-	// every cluster's key flat in id order, and table maps each key back to
-	// its cluster id.
+	// post holds the posting bitmaps, words words each: bit t of bitmap
+	// postOff[j]+v is set when ranked tuple t has dictionary id v in
+	// attribute j. Indexes whose every cluster was filled at build (the
+	// naive build) keep none.
+	post    []uint64
+	postOff []int
+	words   int
+
+	// cells[id] points at cluster id's record once it is filled.
+	cells []atomic.Pointer[Cluster]
+	// filled and covLen count filled records and their coverage entries.
+	filled, covLen atomic.Int64
+
+	// mu serializes fills; the chunks records, patterns and coverage lists
+	// are carved from, and the AND scratch, are guarded by it.
+	mu      sync.Mutex
+	recs    []Cluster
+	pats    []int32
+	covs    []int32
+	scratch []uint64
+}
+
+// generation is the cluster set generated from the top-L tuples: the codec
+// packing patterns into keys of codec.Words() words, every cluster's key
+// flat in id order, the table mapping each key back to its id, and the
+// singleton and all-star ids. It depends on the top-L tuples and the key
+// layout only, so successors that keep both share it.
+type generation struct {
 	codec *pattern.Codec
 	table *pattern.Table
 	keys  []uint64
@@ -80,152 +106,90 @@ type Index struct {
 type BuildStats struct {
 	// Generated is the number of distinct clusters generated in phase 1.
 	Generated int
-	// MappingOps counts tuple→cluster probe operations performed in phase 2;
-	// it is N·2^m on the optimized path and |C|·N on the naive path,
-	// independent of the worker count.
+	// MappingOps counts the coverage work done at build: the N·m posting
+	// bits set on the on-demand path, and the |C|·N tuple→cluster probes of
+	// the naive path.
 	MappingOps int
 	// KeyWords is the number of 64-bit words in each packed cluster key.
 	KeyWords int
-	// Workers is the number of goroutines the phase-2 coverage mapping
-	// fanned out over (always 1 on the naive path).
-	Workers int
-	// GenerateMs is the wall-clock time of phase 1, the sequential cluster
-	// generation from the top-L tuples.
+	// GenerateMs is the wall-clock time of phase 1, the cluster generation
+	// from the top-L tuples.
 	GenerateMs float64
-	// MapMs is the wall-clock time of phase 2, the tuple→cluster coverage
-	// probing (the parallelized part).
+	// MapMs is the wall-clock time of the coverage phase: building the
+	// posting bitmaps on the on-demand path, the cluster-major scan filling
+	// every cluster on the naive path.
 	MapMs float64
-	// AssembleMs is the wall-clock time of the deterministic counting-sort
-	// assembly: computing per-shard arena offsets, scattering hits, and
-	// slicing per-cluster coverage with its value sums.
+	// AssembleMs is the wall-clock time of assembling the index around its
+	// generation: the per-cluster record slots fills publish into. No build
+	// assembles coverage any more; the on-demand path fills each cluster
+	// when it is first handed out.
 	AssembleMs float64
-}
-
-// buildConfig collects BuildIndex options.
-type buildConfig struct {
-	parallelism int
-}
-
-func defaultBuildConfig() buildConfig {
-	return buildConfig{parallelism: runtime.GOMAXPROCS(0)}
-}
-
-// BuildOption customizes BuildIndex.
-type BuildOption func(*buildConfig)
-
-// BuildParallelism sets the number of worker goroutines the phase-2 coverage
-// mapping fans out over. The default is GOMAXPROCS; n <= 1 forces the
-// sequential path. The built index is bit-identical at any setting: shards
-// are assembled in tuple order by a counting sort, so cluster ids, coverage
-// lists, and value sums do not depend on the worker count.
-func BuildParallelism(n int) BuildOption {
-	return func(c *buildConfig) { c.parallelism = n }
 }
 
 // BuildIndex builds the cluster space for the top-L tuples of s using the
 // optimized strategy of Section 6.3: clusters are generated only from top-L
-// tuples (so every cluster covers at least one top-L tuple), and the
-// cluster→tuple mapping is computed by probing each tuple's generalizations
-// against the generated set, instead of scanning all tuples per cluster.
-func BuildIndex(s *Space, L int, opts ...BuildOption) (*Index, error) {
-	ix, _, err := buildIndex(s, L, true, opts)
+// tuples (so every cluster covers at least one top-L tuple), and instead of
+// scanning all tuples per cluster, each cluster's coverage is the AND of
+// per-(attribute, value) posting bitmaps, computed when the cluster is first
+// handed out.
+func BuildIndex(s *Space, L int) (*Index, error) {
+	ix, _, err := buildIndex(s, L, true)
 	return ix, err
 }
 
 // BuildIndexNaive builds the same index without the mapping optimization:
-// after cluster generation, each cluster scans every tuple for coverage.
-// It exists to reproduce the Figure 8a ablation; results are identical to
-// BuildIndex.
-func BuildIndexNaive(s *Space, L int, opts ...BuildOption) (*Index, error) {
-	ix, _, err := buildIndex(s, L, false, opts)
+// after cluster generation, each cluster scans every tuple for coverage, and
+// every cluster is filled at build. It reproduces the Figure 8a ablation
+// and serves as the equivalence oracle; its clusters are identical to
+// BuildIndex's.
+func BuildIndexNaive(s *Space, L int) (*Index, error) {
+	ix, _, err := buildIndex(s, L, false)
 	return ix, err
 }
 
-// BuildIndexStats is BuildIndex returning work counters.
-func BuildIndexStats(s *Space, L int, optimized bool, opts ...BuildOption) (*Index, BuildStats, error) {
-	return buildIndex(s, L, optimized, opts)
+// BuildIndexStats is BuildIndex (optimized) or BuildIndexNaive returning
+// work counters.
+func BuildIndexStats(s *Space, L int, optimized bool) (*Index, BuildStats, error) {
+	return buildIndex(s, L, optimized)
 }
 
-// covHit is one (cluster, tuple) coverage pair recorded during the optimized
-// tuple-major mapping pass, before the counting sort into the arena.
-type covHit struct {
-	cluster int32
-	tuple   int32
-}
-
-// patArenaChunk is how many cluster patterns share one backing allocation
-// during phase 1.
-const patArenaChunk = 1024
-
-// mapShard is one worker's slice of the phase-2 coverage mapping: a
-// contiguous tuple range with its private hit buffer and per-cluster counts
-// (the counts array doubles as the shard's arena write cursor during
-// assembly).
-type mapShard struct {
-	lo, hi int
-	hits   []covHit
-	counts []int32
-	ops    int
-}
-
-// generate builds the index skeleton for (s, L): every cluster pattern
+// generate builds the generation for (s, L): every cluster pattern
 // generalizing a top-L tuple, with ids assigned in first-seen enumeration
 // order (rank-major, subset-mask-minor, see pattern.Codec.AppendAncestors),
-// plus the key table and the singleton/all-star ids. The codec is derived
-// from the space's dictionary cardinalities. Coverage is left empty;
-// BuildIndex fills it with a full phase-2 mapping pass, Rebase fills it
-// incrementally from a previous index. Keeping generation in one function is
-// what guarantees an incrementally maintained index assigns the same
-// cluster ids as a from-scratch rebuild.
-func generate(s *Space, L int) *Index {
+// plus the key table and the singleton/all-star ids. Patterns are kept as
+// packed keys and unpacked when a cluster is filled. Keeping generation in
+// one function is what guarantees a successor index (Rebase) assigns the
+// same cluster ids as a from-scratch rebuild.
+func generate(s *Space, L int, codec *pattern.Codec) *generation {
 	m := s.M()
-	ix := &Index{
-		Space:     s,
-		L:         L,
-		codec:     spaceCodec(s),
-		singleton: make([]int32, L),
-	}
-	w := ix.codec.Words()
+	g := &generation{codec: codec, singleton: make([]int32, L)}
+	w := codec.Words()
 	// Cluster count is unknown until the dedup runs; the hint trades one
 	// possible regrow against over-allocation on star-sparse spaces. The cap
 	// keeps wide schemas (the worst case L*2^m is astronomical at
 	// m = MaxAttrs) from reserving memory the dedup will never fill — the
 	// table and slices regrow fine past it.
 	hint := min(L*(1<<m)/4, 1<<20)
-	ix.table = pattern.NewTable(w, hint)
-	ix.Clusters = make([]Cluster, 0, hint)
-	ix.keys = make([]uint64, 0, hint*w)
-	// Cluster patterns are carved out of chunked []int32 arenas: one
-	// allocation per patArenaChunk patterns instead of one each, which cuts
-	// both allocation count and GC scan work for large spaces.
-	var patArena []int32
+	g.table = pattern.NewTable(w, hint)
+	g.keys = make([]uint64, 0, hint*w)
 	base := make([]uint64, w)
 	keys := make([]uint64, 0, (1<<m)*w)
 	ids := make([]int32, 1<<m)
 	for rank := 0; rank < L; rank++ {
-		ix.codec.Pack(s.Tuples[rank], base)
-		keys = ix.codec.AppendAncestors(base, keys[:0])
+		codec.Pack(s.Tuples[rank], base)
+		keys = codec.AppendAncestors(base, keys[:0])
 		// New patterns get the next dense id, which is the next cluster id.
-		ix.table.InsertAll(keys, ids)
+		g.table.InsertAll(keys, ids)
 		// The concrete pattern comes first in its own enumeration.
-		ix.singleton[rank] = ids[0]
+		g.singleton[rank] = ids[0]
 		for i, id := range ids {
-			if int(id) != len(ix.Clusters) {
-				continue
+			if int(id) == len(g.keys)/w {
+				g.keys = append(g.keys, keys[i*w:(i+1)*w]...)
 			}
-			if len(patArena) < m {
-				patArena = make([]int32, patArenaChunk*m)
-			}
-			pat := pattern.Pattern(patArena[:m:m])
-			patArena = patArena[m:]
-			key := keys[i*w : (i+1)*w]
-			ix.codec.Unpack(key, pat)
-			ix.Clusters = append(ix.Clusters, Cluster{ID: id, Pat: pat})
-			ix.keys = append(ix.keys, key...)
 		}
 	}
-	ix.allStar, _ = ix.table.Find(ix.codec.AllStar())
-	return ix
+	g.allStar, _ = g.table.Find(codec.AllStar())
+	return g
 }
 
 // spaceCodec derives the packed-key layout from s's dictionary
@@ -238,11 +202,37 @@ func spaceCodec(s *Space) *pattern.Codec {
 	return pattern.NewCodec(cards)
 }
 
-func buildIndex(s *Space, L int, optimized bool, opts []BuildOption) (*Index, BuildStats, error) {
-	cfg := defaultBuildConfig()
-	for _, o := range opts {
-		o(&cfg)
+// newIndex returns an index over s with generation g and no cluster filled.
+func newIndex(s *Space, L int, g *generation) *Index {
+	return &Index{
+		Space:      s,
+		L:          L,
+		generation: g,
+		cells:      make([]atomic.Pointer[Cluster], len(g.keys)/g.codec.Words()),
 	}
+}
+
+// buildPostings sets one bit per (tuple, attribute): N·m bit sets over
+// Σ_j |dict_j|·⌈N/64⌉ words. It returns the bits set.
+func (ix *Index) buildPostings() int {
+	s := ix.Space
+	ix.words = (s.N() + 63) / 64
+	ix.postOff = make([]int, s.M()+1)
+	for j, d := range s.Dicts {
+		ix.postOff[j+1] = ix.postOff[j] + d.Len()
+	}
+	ix.post = make([]uint64, ix.postOff[s.M()]*ix.words)
+	for t, tup := range s.Tuples {
+		w, bit := t>>6, uint64(1)<<(t&63)
+		for j, v := range tup {
+			ix.post[(ix.postOff[j]+int(v))*ix.words+w] |= bit
+		}
+	}
+	ix.scratch = make([]uint64, ix.words)
+	return s.N() * s.M()
+}
+
+func buildIndex(s *Space, L int, optimized bool) (*Index, BuildStats, error) {
 	var stats BuildStats
 	if L < 1 || L > s.N() {
 		return nil, stats, fmt.Errorf("lattice: L = %d out of range [1, %d]", L, s.N())
@@ -251,155 +241,163 @@ func buildIndex(s *Space, L int, optimized bool, opts []BuildOption) (*Index, Bu
 		return nil, stats, fmt.Errorf("lattice: %d grouping attributes exceed the supported maximum of %d (pattern.MaxAttrs)", s.M(), pattern.MaxAttrs)
 	}
 	t0 := time.Now()
-	ix := generate(s, L)
-	stats.KeyWords = ix.codec.Words()
-	stats.Generated = len(ix.Clusters)
+	g := generate(s, L, spaceCodec(s))
 	stats.GenerateMs = msSince(t0)
+	t1 := time.Now()
+	ix := newIndex(s, L, g)
+	stats.AssembleMs = msSince(t1)
+	stats.KeyWords = ix.codec.Words()
+	stats.Generated = ix.NumClusters()
 
-	// Phase 2: map tuples to clusters, writing all coverage lists into one
-	// shared arena. The optimized path probes tuple-major (each tuple's
-	// generalizations against the generated set) over contiguous tuple
-	// shards in parallel, then counting-sorts the hits into the arena; the
-	// naive path scans cluster-major and appends in place.
-	nc := len(ix.Clusters)
+	t2 := time.Now()
 	if optimized {
-		workers := cfg.parallelism
-		if workers < 1 {
-			workers = 1
-		}
-		if workers > s.N() {
-			workers = s.N()
-		}
-		stats.Workers = workers
-		t1 := time.Now()
-		shards := make([]mapShard, workers)
-		var wg sync.WaitGroup
-		for w := range shards {
-			shards[w].lo = s.N() * w / workers
-			shards[w].hi = s.N() * (w + 1) / workers
-			shards[w].counts = make([]int32, nc)
-			wg.Add(1)
-			go func(sh *mapShard) {
-				defer wg.Done()
-				ix.probeShard(sh)
-			}(&shards[w])
-		}
-		wg.Wait()
-		stats.MapMs = msSince(t1)
-
-		// Deterministic assembly: lay the arena out cluster-major, and within
-		// each cluster shard-major (= ascending tuple order, since shards are
-		// contiguous tuple ranges and each shard emits hits tuple-major).
-		// This reproduces the sequential tuple-major scan bit for bit at any
-		// worker count; per-cluster value sums are then accumulated in arena
-		// order, the same addition order a sequential build performs.
-		t2 := time.Now()
-		total := 0
-		for w := range shards {
-			stats.MappingOps += shards[w].ops
-			total += len(shards[w].hits)
-		}
-		starts := make([]int32, nc+1)
-		off := int32(0)
-		for id := 0; id < nc; id++ {
-			starts[id] = off
-			for w := range shards {
-				c := shards[w].counts[id]
-				shards[w].counts[id] = off // becomes the shard's write cursor
-				off += c
-			}
-		}
-		starts[nc] = off
-		arena := make([]int32, total)
-		for w := range shards {
-			wg.Add(1)
-			go func(sh *mapShard) {
-				defer wg.Done()
-				for _, h := range sh.hits {
-					arena[sh.counts[h.cluster]] = h.tuple
-					sh.counts[h.cluster]++
-				}
-			}(&shards[w])
-		}
-		wg.Wait()
-		ix.covArena = arena
-		for id := 0; id < nc; id++ {
-			cov := arena[starts[id]:starts[id+1]:starts[id+1]]
-			sum := 0.0
-			for _, t := range cov {
-				sum += s.Vals[t]
-			}
-			ix.Clusters[id].Cov = cov
-			ix.Clusters[id].Sum = sum
-		}
-		stats.AssembleMs = msSince(t2)
+		stats.MappingOps = ix.buildPostings()
 	} else {
-		stats.Workers = 1
-		t1 := time.Now()
-		var arena []int32
-		starts := make([]int32, nc)
-		counts := make([]int32, nc)
-		for ci := range ix.Clusters {
-			c := &ix.Clusters[ci]
-			starts[ci] = int32(len(arena))
+		// Cluster-major scan: every cluster tests every tuple, and is filled
+		// through the same bookkeeping as an on-demand fill.
+		var cov []int32
+		for id := range ix.cells {
+			c := ix.record(int32(id))
+			cov = cov[:0]
 			for ti, t := range s.Tuples {
-				stats.MappingOps++
 				if c.Pat.CoversTuple(t) {
-					arena = append(arena, int32(ti))
-					c.Sum += s.Vals[ti]
+					cov = append(cov, int32(ti))
 				}
 			}
-			counts[ci] = int32(len(arena)) - starts[ci]
+			stats.MappingOps += s.N()
+			c.Cov = ix.carve(len(cov))
+			copy(c.Cov, cov)
+			for _, t := range c.Cov {
+				c.Sum += s.Vals[t]
+			}
+			ix.publish(c)
 		}
-		// Slice only after the arena stops growing: append may reallocate.
-		ix.covArena = arena
-		for ci := range ix.Clusters {
-			start, end := starts[ci], starts[ci]+counts[ci]
-			ix.Clusters[ci].Cov = arena[start:end:end]
-		}
-		stats.MapMs = msSince(t1)
 	}
+	stats.MapMs = msSince(t2)
 	assertIndexInvariants(ix, "build")
 	return ix, stats, nil
 }
 
-// probeShard runs the phase-2 probe for one tuple shard: every tuple's 2^m
-// generalizations against the generated cluster set. The key table is
-// immutable by now, so shards only share read-only state.
-func (ix *Index) probeShard(sh *mapShard) {
-	s := ix.Space
-	// Hit volume scales with total coverage (every tuple hits at least the
-	// all-star cluster, top-L tuples hit all 2^m ancestors), so seed the
-	// buffer at coverage scale, not cluster-count scale.
-	sh.hits = make([]covHit, 0, 8*(sh.hi-sh.lo))
-	w := ix.codec.Words()
-	base := make([]uint64, w)
-	keys := make([]uint64, 0, (1<<s.M())*w)
-	ids := make([]int32, 1<<s.M())
-	for ti := sh.lo; ti < sh.hi; ti++ {
-		ti32 := int32(ti)
-		ix.codec.Pack(s.Tuples[ti], base)
-		keys = ix.codec.AppendAncestors(base, keys[:0])
-		ix.table.FindAll(keys, ids)
-		sh.ops += len(ids)
-		for _, id := range ids {
-			if id >= 0 {
-				sh.hits = append(sh.hits, covHit{cluster: id, tuple: ti32})
-				sh.counts[id]++
-			}
-		}
-	}
+func msSince(t0 time.Time) float64 {
+	return float64(time.Since(t0).Nanoseconds()) / 1e6
 }
 
-func msSince(t0 time.Time) float64 {
-	return float64(time.Since(t0).Microseconds()) / 1000
+// recordChunk and patternChunk are how many cluster records and patterns
+// share one allocation; coverChunk is the size of a coverage chunk (a list
+// longer than that gets one of its own size).
+const (
+	recordChunk  = 256
+	patternChunk = 256
+	coverChunk   = 8192
+)
+
+// record carves a record for cluster id with its pattern unpacked from the
+// key; coverage is left to the caller. The caller holds ix.mu (or owns ix
+// exclusively, as a build does).
+func (ix *Index) record(id int32) *Cluster {
+	if len(ix.recs) == 0 {
+		ix.recs = make([]Cluster, recordChunk)
+	}
+	c := &ix.recs[0]
+	ix.recs = ix.recs[1:]
+	m := ix.Space.M()
+	if len(ix.pats) < m {
+		ix.pats = make([]int32, patternChunk*m)
+	}
+	c.ID = id
+	c.Pat = pattern.Pattern(ix.pats[:m:m])
+	ix.pats = ix.pats[m:]
+	ix.codec.Unpack(ix.key(id), c.Pat)
+	return c
+}
+
+// carve returns a coverage list of n entries from the current chunk.
+func (ix *Index) carve(n int) []int32 {
+	if n > len(ix.covs) {
+		ix.covs = make([]int32, max(n, coverChunk))
+	}
+	cov := ix.covs[:n:n]
+	ix.covs = ix.covs[n:]
+	return cov
+}
+
+// publish makes a completed record visible to every reader.
+func (ix *Index) publish(c *Cluster) *Cluster {
+	assertFill(ix, c)
+	ix.filled.Add(1)
+	ix.covLen.Add(int64(len(c.Cov)))
+	ix.cells[c.ID].Store(c)
+	return c
+}
+
+// fill builds cluster id's record from the posting bitmaps: its coverage is
+// the AND of the bitmaps of its non-star attributes (every tuple for the
+// all-star cluster), listed in ascending tuple order, and its sum adds the
+// values in that order — the order every build has always accumulated in,
+// so sums are bit-identical to the naive build's.
+func (ix *Index) fill(id int32) *Cluster {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if c := ix.cells[id].Load(); c != nil {
+		return c // filled while this caller waited
+	}
+	c := ix.record(id)
+	acc := ix.scratch
+	first := true
+	for j, v := range c.Pat {
+		if v == pattern.Star {
+			continue
+		}
+		bm := ix.post[(ix.postOff[j]+int(v))*ix.words:][:ix.words]
+		if first {
+			copy(acc, bm)
+			first = false
+			continue
+		}
+		for i := range acc {
+			acc[i] &= bm[i]
+		}
+	}
+	if first {
+		for i := range acc {
+			acc[i] = ^uint64(0)
+		}
+		if r := ix.Space.N() % 64; r != 0 {
+			acc[len(acc)-1] = 1<<r - 1
+		}
+	}
+	n := 0
+	for _, x := range acc {
+		n += bits.OnesCount64(x)
+	}
+	c.Cov = ix.carve(n)
+	vals := ix.Space.Vals
+	k := 0
+	for w, x := range acc {
+		for x != 0 {
+			t := int32(w<<6 | bits.TrailingZeros64(x))
+			c.Cov[k] = t
+			c.Sum += vals[t]
+			k++
+			x &= x - 1
+		}
+	}
+	return ix.publish(c)
 }
 
 // NumClusters returns the size of the generated cluster space.
-func (ix *Index) NumClusters() int { return len(ix.Clusters) }
+func (ix *Index) NumClusters() int { return len(ix.cells) }
 
-// Cluster returns the cluster with the given id.
-func (ix *Index) Cluster(id int32) *Cluster { return &ix.Clusters[id] }
+// Cluster returns the cluster with the given id, filling it on first use.
+func (ix *Index) Cluster(id int32) *Cluster {
+	if c := ix.cells[id].Load(); c != nil {
+		return c
+	}
+	return ix.fill(id)
+}
+
+// FilledClusters returns the number of clusters filled so far.
+func (ix *Index) FilledClusters() int { return int(ix.filled.Load()) }
 
 // key returns the packed key of cluster id.
 func (ix *Index) key(id int32) []uint64 {
@@ -437,22 +435,36 @@ func (ix *Index) Lookup(p pattern.Pattern) (*Cluster, bool) {
 	if !ok {
 		return nil, false
 	}
-	return &ix.Clusters[id], true
+	return ix.Cluster(id), true
 }
 
 // Singleton returns the singleton cluster of the rank-th top tuple
 // (0-based). It panics if rank >= L.
 func (ix *Index) Singleton(rank int) *Cluster {
-	return &ix.Clusters[ix.singleton[rank]]
+	return ix.Cluster(ix.singleton[rank])
 }
 
 // AllStar returns the trivial cluster (*, ..., *) covering every tuple; it is
 // the paper's Lower Bound baseline solution.
-func (ix *Index) AllStar() *Cluster { return &ix.Clusters[ix.allStar] }
+func (ix *Index) AllStar() *Cluster { return ix.Cluster(ix.allStar) }
 
-// CoverageArenaLen returns the total number of coverage entries stored across
-// all clusters (the shared arena's length), an initialization-space figure.
-func (ix *Index) CoverageArenaLen() int { return len(ix.covArena) }
+// CoverageArenaLen returns the number of coverage entries filled so far
+// across all clusters, an initialization-space figure. It is safe to call
+// concurrently with fills.
+func (ix *Index) CoverageArenaLen() int { return int(ix.covLen.Load()) }
+
+// Bytes estimates the index's resident memory: per-cluster keys, table
+// slots and record pointers, the posting bitmaps, and the filled records
+// with their patterns and coverage. It is safe to call concurrently with
+// fills.
+func (ix *Index) Bytes() int64 {
+	const recordBytes = 64 // Cluster record, in its chunk
+	n := int64(len(ix.keys))*8 + ix.table.Bytes() + int64(len(ix.cells))*8
+	n += int64(len(ix.post)+len(ix.scratch)) * 8
+	n += ix.filled.Load() * int64(recordBytes+4*ix.Space.M())
+	n += ix.covLen.Load() * 4
+	return n
+}
 
 // LCACluster returns the cluster for LCA(a.Pat, b.Pat). The generated space
 // is closed under LCA (the LCA of two ancestors of top-L tuples is itself an
@@ -496,9 +508,10 @@ func (ix *Index) NewLCAMemo() *LCAMemo {
 
 // LCAID returns the id of the LCA cluster of the clusters with ids a and b,
 // which must be valid ids of this index (out-of-range ids panic, like any
-// Index.Cluster access). Like LCACluster, the returned error signals a
-// closure violation — the LCA pattern was never generated — which cannot
-// happen for clusters of one index.
+// Index.Cluster access); callers resolve the id through Index.Cluster. Like
+// LCACluster, the returned error signals a closure violation — the LCA
+// pattern was never generated — which cannot happen for clusters of one
+// index.
 func (m *LCAMemo) LCAID(a, b int32) (int32, error) {
 	if a > b {
 		a, b = b, a
@@ -524,10 +537,10 @@ func (m *LCAMemo) LCAID(a, b int32) (int32, error) {
 
 // Rebind attaches the memo to a successor index of the same space shape
 // (equal attribute count). keep retains the memoized pairs, which is sound
-// exactly when the successor preserved every cluster id — the fast path of
-// incremental maintenance (Index.ApplyDelta): entries are id-pair → id facts
-// about cluster patterns, and id stability carries them over unchanged. With
-// keep false the memo is emptied (its storage is kept).
+// exactly when the successor preserved every cluster id (DeltaStats.FastPath
+// of Index.ApplyDelta and Rebase): entries are id-pair → id facts about
+// cluster patterns, and id stability carries them over unchanged. With keep
+// false the memo is emptied (its storage is kept).
 func (m *LCAMemo) Rebind(ix *Index, keep bool) {
 	m.ix = ix
 	if !keep {

@@ -157,7 +157,7 @@ func TestBuildIndexEveryClusterCoversATopLTuple(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range ix.Clusters {
+	for _, c := range allClusters(ix) {
 		found := false
 		for _, ti := range c.Cov {
 			if int(ti) < L {
@@ -177,7 +177,7 @@ func TestBuildIndexCoverageIsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range ix.Clusters {
+	for _, c := range allClusters(ix) {
 		var want []int32
 		var sum float64
 		for ti, tup := range s.Tuples {
@@ -208,8 +208,8 @@ func TestNaiveBuildMatchesOptimized(t *testing.T) {
 	if opt.NumClusters() != naive.NumClusters() {
 		t.Fatalf("cluster counts differ: %d vs %d", opt.NumClusters(), naive.NumClusters())
 	}
-	for i := range opt.Clusters {
-		a, b := opt.Clusters[i], naive.Clusters[i]
+	for i := int32(0); i < int32(opt.NumClusters()); i++ {
+		a, b := opt.Cluster(i), naive.Cluster(i)
 		if !pattern.Equal(a.Pat, b.Pat) || !reflect.DeepEqual(a.Cov, b.Cov) {
 			t.Fatalf("cluster %d differs: %v/%v vs %v/%v", i, a.Pat, a.Cov, b.Pat, b.Cov)
 		}

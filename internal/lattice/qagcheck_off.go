@@ -4,3 +4,5 @@ package lattice
 
 // Without -tags qagcheck the assertions compile to nothing.
 func assertIndexInvariants(ix *Index, origin string) {}
+
+func assertFill(ix *Index, c *Cluster) {}

@@ -2,32 +2,48 @@
 
 package lattice
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Built with -tags qagcheck, every index handed out by a build or an
 // incremental update is verified against the structural invariants the rest
-// of the system assumes (and qagvet checks callers against statically):
-// coverage lists strictly ascending, and the packed codec wide enough for
-// every dictionary's active domain. Violations panic: a broken index is a
-// determinism bug in the maintenance code, not a recoverable condition.
+// of the system assumes (and qagvet checks callers against statically): the
+// packed codec wide enough for every dictionary's active domain. Every fill
+// is checked against a scan of all N tuples: the coverage must list exactly
+// the tuples the pattern covers, ascending, and the sum must be their values
+// added in that order, to the bit. Violations panic: a broken index is a
+// determinism bug in the lattice code, not a recoverable condition.
 func assertIndexInvariants(ix *Index, origin string) {
 	if ix == nil {
 		return
-	}
-	for ci := range ix.Clusters {
-		cov := ix.Clusters[ci].Cov
-		for i := 1; i < len(cov); i++ {
-			if cov[i-1] >= cov[i] {
-				panic(fmt.Sprintf("qagcheck: %s: cluster %d coverage not strictly ascending at offset %d (%d then %d)", origin, ci, i, cov[i-1], cov[i]))
-			}
-		}
-		if n := int32(ix.Space.N()); len(cov) > 0 && (cov[0] < 0 || cov[len(cov)-1] >= n) {
-			panic(fmt.Sprintf("qagcheck: %s: cluster %d coverage out of tuple range [0, %d)", origin, ci, n))
-		}
 	}
 	for j, d := range ix.Space.Dicts {
 		if !ix.codec.CardFits(j, d.Len()) {
 			panic(fmt.Sprintf("qagcheck: %s: codec field %d cannot hold dictionary cardinality %d; packing would alias the Star sentinel", origin, j, d.Len()))
 		}
+	}
+}
+
+func assertFill(ix *Index, c *Cluster) {
+	s := ix.Space
+	k := 0
+	sum := 0.0
+	for ti, t := range s.Tuples {
+		if !c.Pat.CoversTuple(t) {
+			continue
+		}
+		if k >= len(c.Cov) || c.Cov[k] != int32(ti) {
+			panic(fmt.Sprintf("qagcheck: fill: cluster %d %v coverage %v does not list covered tuple %d at offset %d", c.ID, c.Pat, c.Cov, ti, k))
+		}
+		sum += s.Vals[ti]
+		k++
+	}
+	if k != len(c.Cov) {
+		panic(fmt.Sprintf("qagcheck: fill: cluster %d %v coverage lists %d tuples, the pattern covers %d", c.ID, c.Pat, len(c.Cov), k))
+	}
+	if math.Float64bits(sum) != math.Float64bits(c.Sum) {
+		panic(fmt.Sprintf("qagcheck: fill: cluster %d %v sum %v, ascending scan gives %v", c.ID, c.Pat, c.Sum, sum))
 	}
 }

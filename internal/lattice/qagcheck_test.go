@@ -10,33 +10,36 @@ import (
 )
 
 // Only meaningful under -tags qagcheck: the assertions must actually fire on
-// a corrupt index, otherwise the CI job checks nothing.
-func TestQagcheckCatchesUnsortedCoverage(t *testing.T) {
-	ix := &Index{
-		Space:    &Space{Tuples: make([]pattern.Pattern, 3)},
-		Clusters: []Cluster{{Cov: []int32{2, 1}}},
+// a corrupt fill, otherwise the CI job checks nothing.
+func qagcheckSpace() *Space {
+	return &Space{
+		Tuples: []pattern.Pattern{{0, 0}, {0, 1}, {1, 1}},
+		Vals:   []float64{3, 2, 1},
 	}
+}
+
+func expectFillPanic(t *testing.T, c *Cluster, want string) {
+	t.Helper()
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatal("assertIndexInvariants accepted an unsorted coverage list")
+			t.Fatalf("assertFill accepted %+v", c)
 		}
-		if !strings.Contains(r.(string), "not strictly ascending") {
+		if !strings.Contains(r.(string), want) {
 			t.Fatalf("unexpected panic: %v", r)
 		}
 	}()
-	assertIndexInvariants(ix, "test")
+	assertFill(&Index{Space: qagcheckSpace()}, c)
+}
+
+func TestQagcheckCatchesUnsortedCoverage(t *testing.T) {
+	expectFillPanic(t, &Cluster{Pat: pattern.Pattern{0, pattern.Star}, Cov: []int32{1, 0}, Sum: 5}, "does not list covered tuple")
 }
 
 func TestQagcheckCatchesOutOfRangeCoverage(t *testing.T) {
-	ix := &Index{
-		Space:    &Space{Tuples: make([]pattern.Pattern, 2)},
-		Clusters: []Cluster{{Cov: []int32{0, 5}}},
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("assertIndexInvariants accepted out-of-range coverage")
-		}
-	}()
-	assertIndexInvariants(ix, "test")
+	expectFillPanic(t, &Cluster{Pat: pattern.Pattern{0, pattern.Star}, Cov: []int32{0, 1, 5}, Sum: 5}, "lists 3 tuples")
+}
+
+func TestQagcheckCatchesWrongSum(t *testing.T) {
+	expectFillPanic(t, &Cluster{Pat: pattern.Pattern{0, pattern.Star}, Cov: []int32{0, 1}, Sum: 4}, "sum")
 }

@@ -2,7 +2,8 @@
 // *-patterns generated by the top-L answer tuples (Section 4.2), together
 // with the cluster→tuple mapping needed to evaluate coverage and average
 // values. BuildIndex implements the "cluster generation and mapping to
-// tuples" optimization of Section 6.3 (reported 100x–1000x there);
+// tuples" optimization of Section 6.3 (reported 100x–1000x there), mapping
+// each cluster from posting bitmaps when it is first used;
 // BuildIndexNaive is the unoptimized variant kept for the Figure 8a ablation.
 package lattice
 

@@ -80,9 +80,8 @@ func (c *Codec) Words() int { return c.words }
 
 // CardFits reports whether attribute j's field can hold an active domain of
 // the given cardinality: every id 0..card-1 must stay strictly below the
-// all-ones Star sentinel. Incremental maintenance uses it to detect when
-// newly interned dictionary values overflow the packed widths, forcing a
-// codec re-derivation.
+// all-ones Star sentinel. A retained aggregation uses it to detect when
+// newly interned dictionary values overflow its packed widths.
 func (c *Codec) CardFits(j, card int) bool {
 	return uint64(card) <= c.field[j]>>c.shift[j]
 }
@@ -105,12 +104,6 @@ func (c *Codec) SameLayout(o *Codec) bool {
 // AllStar returns a fresh key holding the all-star pattern.
 func (c *Codec) AllStar() []uint64 {
 	return append([]uint64(nil), c.allMask...)
-}
-
-// Star stars attribute j in key, in place. It is how incremental
-// maintenance jumps from a cluster to its lattice parent without unpacking.
-func (c *Codec) Star(key []uint64, j int) {
-	key[c.word[j]] |= c.field[j]
 }
 
 // Pack encodes p into key (Words() words, overwritten). p must have m

@@ -79,23 +79,13 @@ func checkOpsMatchSlice(t *testing.T, rng *rand.Rand, c *Codec, cards []int) {
 			if want := LCA(p, q); !Equal(back, want) {
 				t.Fatalf("LCA(%v, %v) packed %v, slice %v (cards %v)", p, q, back, want, cards)
 			}
-			for j := range p {
-				copy(lk, pk)
-				c.Star(lk, j)
-				c.Unpack(lk, back)
-				want := p.Clone()
-				want[j] = Star
-				if !Equal(back, want) {
-					t.Fatalf("Star(%v, %d) = %v, want %v (cards %v)", p, j, back, want, cards)
-				}
-			}
 		}
 	}
 }
 
 // TestPackedOpsMatchSlice is the packed-vs-slice property test: on random
 // codecs of one, two and three words (and more), and on fixed layouts whose
-// fields end exactly at bit 64, Covers, Distance, LCA and Star must agree
+// fields end exactly at bit 64, Covers, Distance and LCA must agree
 // exactly between the packed and slice representations, and Pack/Unpack
 // must round-trip.
 func TestPackedOpsMatchSlice(t *testing.T) {

@@ -87,7 +87,7 @@ type Store struct {
 func (s *Store) Generation() uint64 { return s.gen }
 
 // ReplayStats reports the sweeper's allocation-avoidance and memoization
-// counters for the run that produced this store: pooled replay-state reuses
+// counters for the run that produced this store: replay-state reuses
 // and LCA memo hit rates. Decoded stores report zeros (the replays ran in a
 // previous process).
 func (s *Store) ReplayStats() summarize.ReplayStats { return s.replayStats }

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"sort"
 
 	"qagview/internal/intervaltree"
 	"qagview/internal/lattice"
@@ -13,11 +14,12 @@ import (
 // store was computed against; decoding therefore requires rebuilding the
 // identical index (index construction is deterministic for a given answer
 // set and L, so persisting the query result alongside the snapshot is
-// sufficient).
+// sufficient). Per-D entries are listed in ascending D, so equal stores
+// encode to equal bytes.
 type snapshot struct {
 	L, KMin, KMax int
 	Ds            []int
-	PerD          map[int]snapshotEntry
+	PerD          []snapshotEntry
 	NumClusters   int // sanity check against the index at decode time
 	// Generation is the data generation the store was computed over (see
 	// WithGeneration); snapshots written before versioning decode as 0.
@@ -25,6 +27,7 @@ type snapshot struct {
 }
 
 type snapshotEntry struct {
+	D         int
 	Intervals []intervaltree.Interval
 	Avg       []float64
 	MinSize   int
@@ -35,17 +38,19 @@ func (s *Store) Encode(w io.Writer) error {
 	snap := snapshot{
 		L: s.L, KMin: s.KMin, KMax: s.KMax,
 		Ds:          append([]int(nil), s.Ds...),
-		PerD:        make(map[int]snapshotEntry, len(s.perD)),
+		PerD:        make([]snapshotEntry, 0, len(s.perD)),
 		NumClusters: s.ix.NumClusters(),
 		Generation:  s.gen,
 	}
 	for d, e := range s.perD {
-		snap.PerD[d] = snapshotEntry{
+		snap.PerD = append(snap.PerD, snapshotEntry{
+			D:         d,
 			Intervals: e.ivs,
 			Avg:       append([]float64(nil), e.avg...),
 			MinSize:   e.minSize,
-		}
+		})
 	}
+	sort.Slice(snap.PerD, func(a, b int) bool { return snap.PerD[a].D < snap.PerD[b].D })
 	if err := gob.NewEncoder(w).Encode(snap); err != nil {
 		return fmt.Errorf("precompute: encoding store: %w", err)
 	}
@@ -54,7 +59,8 @@ func (s *Store) Encode(w io.Writer) error {
 
 // Decode reconstructs a store previously written by Encode, binding it to
 // ix, which must be the index (same answer set and L) the store was computed
-// against.
+// against. Snapshots written before per-D entries were listed in D order
+// (as a map) fail to decode; callers rebuild the store.
 func Decode(r io.Reader, ix *lattice.Index) (*Store, error) {
 	var snap snapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
@@ -73,7 +79,7 @@ func Decode(r io.Reader, ix *lattice.Index) (*Store, error) {
 		perD: make(map[int]*dEntry, len(snap.PerD)),
 		gen:  snap.Generation,
 	}
-	for d, e := range snap.PerD {
+	for _, e := range snap.PerD {
 		for _, iv := range e.Intervals {
 			if iv.Payload < 0 || int(iv.Payload) >= ix.NumClusters() {
 				return nil, fmt.Errorf("precompute: snapshot references cluster %d outside the index", iv.Payload)
@@ -83,7 +89,7 @@ func Decode(r io.Reader, ix *lattice.Index) (*Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		st.perD[d] = &dEntry{tree: tree, ivs: e.Intervals, avg: e.Avg, minSize: e.MinSize}
+		st.perD[e.D] = &dEntry{tree: tree, ivs: e.Intervals, avg: e.Avg, minSize: e.MinSize}
 	}
 	return st, nil
 }

@@ -3,6 +3,7 @@ package sankey
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"qagview/internal/lattice"
@@ -270,5 +271,44 @@ func TestFreeClustersGoLast(t *testing.T) {
 	order := d.BarycenterHeightOrder()
 	if order[0] != 1 || order[1] != 0 {
 		t.Fatalf("bandless cluster not placed last: %v", order)
+	}
+}
+
+// TestDiffOnDemandMatchesNaive builds the same comparison over an on-demand
+// index and over the naive index of its space: the overlap matrix and the
+// top-tuple counts must be identical.
+func TestDiffOnDemandMatchesNaive(t *testing.T) {
+	ix, _, _ := solutions(t, 3)
+	nv, err := lattice.BuildIndexNaive(ix.Space, ix.L)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var diffs [2]*Diff
+	for i, x := range []*lattice.Index{ix, nv} {
+		oldSol, err := summarize.Hybrid(x, summarize.Params{K: 6, L: 20, D: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		newSol, err := summarize.Hybrid(x, summarize.Params{K: 3, L: 20, D: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diffs[i], err = NewDiff(x, oldSol, newSol, 20); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := diffs[0], diffs[1]
+	if !reflect.DeepEqual(a.M, b.M) || !reflect.DeepEqual(a.LeftTop, b.LeftTop) || !reflect.DeepEqual(a.RightTop, b.RightTop) {
+		t.Fatalf("diffs differ: %+v vs %+v", a, b)
+	}
+	for i := range a.Left {
+		if a.Left[i].ID != b.Left[i].ID {
+			t.Fatalf("left cluster %d: %d vs %d", i, a.Left[i].ID, b.Left[i].ID)
+		}
+	}
+	for j := range a.Right {
+		if a.Right[j].ID != b.Right[j].ID {
+			t.Fatalf("right cluster %d: %d vs %d", j, a.Right[j].ID, b.Right[j].ID)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -15,6 +16,9 @@ import (
 	"time"
 
 	"qagview"
+	"qagview/internal/lattice"
+	"qagview/internal/precompute"
+	"qagview/internal/summarize"
 )
 
 // histSQL is the history tests' session query: a WHERE that the other
@@ -52,8 +56,10 @@ func histTable(t *testing.T, rows [][]string) *qagview.Relation {
 }
 
 // histRef is the library reference for the session at a data version whose
-// table holds rows: the query over them and a cold summarizer.
-func histRef(t *testing.T, rows [][]string) *qagview.Summarizer {
+// table holds rows: the query over them and a cold summarizer. naive is
+// the naive index over the same answer set, which fills every cluster at
+// build: the history checks the on-demand references against it too.
+func histRef(t *testing.T, rows [][]string) (ref *qagview.Summarizer, naive *lattice.Index) {
 	t.Helper()
 	db := qagview.NewDB()
 	if err := db.Register(histTable(t, rows)); err != nil {
@@ -67,7 +73,27 @@ func histRef(t *testing.T, rows [][]string) *qagview.Summarizer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sum
+	space, err := lattice.NewSpace(res.GroupBy, res.Rows, res.Vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if naive, err = lattice.BuildIndexNaive(space, histL); err != nil {
+		t.Fatal(err)
+	}
+	return sum, naive
+}
+
+// assertSameIDs fails unless two solutions hold the same cluster ids with
+// the same objective bits.
+func assertSameIDs(t *testing.T, label string, got, want *qagview.Solution) {
+	t.Helper()
+	same := got.Size() == want.Size() && math.Float64bits(got.AvgValue()) == math.Float64bits(want.AvgValue())
+	for i := 0; same && i < got.Size(); i++ {
+		same = got.Clusters[i].ID == want.Clusters[i].ID
+	}
+	if !same {
+		t.Fatalf("%s: on-demand and naive index solutions differ", label)
+	}
 }
 
 func histCSV(rows [][]string) string {
@@ -139,7 +165,7 @@ func checkHistRead(t *testing.T, srv *Server, ts *httptest.Server, id string, ro
 		t.Fatalf("read at data_version %d, which no write produced", dv)
 	}
 	label := fmt.Sprintf("data_version %d", dv)
-	ref := histRef(t, rows)
+	ref, naive := histRef(t, rows)
 	path := ""
 	if sp := refreshSpan(t, resp); sp != nil {
 		path = spanAttrJSON(sp, "path")
@@ -150,6 +176,12 @@ func checkHistRead(t *testing.T, srv *Server, ts *httptest.Server, id string, ro
 	switch src := resp.body["source"]; src {
 	case "live":
 		want, err = ref.Summarize(qagview.Hybrid, qagview.Params{K: 3, L: histL, D: 1})
+		if err == nil {
+			var nsol *qagview.Solution
+			if nsol, err = summarize.Hybrid(naive, qagview.Params{K: 3, L: histL, D: 1}); err == nil {
+				assertSameIDs(t, label, want, nsol)
+			}
+		}
 	case "store":
 		var st *qagview.Store
 		if st, err = ref.Precompute(1, 4, histDs); err == nil {
@@ -195,6 +227,14 @@ func checkHistRead(t *testing.T, srv *Server, ts *httptest.Server, id string, ro
 	refSt, err := ref.Precompute(1, 4, histDs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	naiveSt, err := precompute.Run(naive, histL, 1, 4, histDs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refEnc, naiveEnc bytes.Buffer
+	if refSt.Encode(&refEnc) != nil || naiveSt.Encode(&naiveEnc) != nil || !bytes.Equal(refEnc.Bytes(), naiveEnc.Bytes()) {
+		t.Fatalf("%s: the on-demand and naive index stores encode differently", label)
 	}
 	if cur.build.store.StoredIntervals() != refSt.StoredIntervals() {
 		t.Fatalf("%s: store holds %d intervals, a from-scratch Precompute %d", label, cur.build.store.StoredIntervals(), refSt.StoredIntervals())
@@ -389,7 +429,7 @@ func TestRefreshLabelsItsSnapshot(t *testing.T) {
 		if !ok {
 			t.Fatalf("view labeled data_version %d, which no write produced", v.dataVersion)
 		}
-		ref := histRef(t, want)
+		ref, _ := histRef(t, want)
 		if !reflect.DeepEqual(v.sum.Rows(v.sum.LowerBound()), ref.Rows(ref.LowerBound())) {
 			t.Fatalf("view at data_version %d does not hold that version's answers", v.dataVersion)
 		}
@@ -481,7 +521,7 @@ func TestFoldingRefreshRacesAppends(t *testing.T) {
 		return out
 	}
 	for _, r := range reads {
-		ref := histRef(t, prefix(r.dv))
+		ref, _ := histRef(t, prefix(r.dv))
 		want, err := ref.Summarize(qagview.Hybrid, qagview.Params{K: 3, L: histL, D: 1})
 		if r.sol.body["source"] == "store" {
 			var st *qagview.Store

@@ -485,7 +485,9 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	if reused {
 		code = http.StatusOK
 	}
-	writeJSON(w, code, s.sessionInfo(sess, v, reused))
+	body := s.sessionInfo(sess, v, reused)
+	inlineTrace(body, w, r)
+	writeJSON(w, code, body)
 }
 
 func (s *Server) sessionInfo(sess *session, v *sessionView, reused bool) map[string]any {

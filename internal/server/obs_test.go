@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -250,4 +251,46 @@ func TestMetricsScrapeObserveRace(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestTracedSessionBuildSpans pins the session build's own spans: a traced
+// POST /v1/sessions shows lattice.build with the response's cluster and
+// tuple counts, and session.fingerprint; the background store build's
+// trace reports how many of those clusters the sweep filled.
+func TestTracedSessionBuildSpans(t *testing.T) {
+	_, ts := testServer(t, Config{TraceEnabled: true})
+	resp := post(t, ts, "/v1/sessions?trace=1", map[string]any{
+		"sql": testSQL, "l": 8, "kmin": 1, "kmax": 6, "ds": []int{0, 1, 2},
+	})
+	if resp.code != http.StatusCreated {
+		t.Fatalf("create: %d %s", resp.code, resp.raw)
+	}
+	root := resp.body["trace"].(map[string]any)["root"].(map[string]any)
+	lb, ok := findSpanJSON(root, "lattice.build")
+	if !ok {
+		t.Fatalf("no lattice.build span: %s", resp.raw)
+	}
+	clusters := fmt.Sprint(resp.body["clusters"])
+	if spanAttrJSON(lb, "clusters") != clusters || spanAttrJSON(lb, "tuples") != fmt.Sprint(resp.body["n"]) {
+		t.Fatalf("lattice.build attrs %v, response clusters %s n %v", lb["attrs"], clusters, resp.body["n"])
+	}
+	if _, ok := findSpanJSON(root, "session.fingerprint"); !ok {
+		t.Fatalf("no session.fingerprint span: %s", resp.raw)
+	}
+	waitReady(t, ts, resp.body["session"].(string))
+	var filled string
+	for _, tr := range get(t, ts, "/debug/traces").body["traces"].([]any) {
+		if s := tr.(map[string]any); s["name"] == "session.build_store" {
+			build := get(t, ts, "/debug/traces/"+s["id"].(string)).body["root"].(map[string]any)
+			filled = spanAttrJSON(build, "clusters_filled")
+			break
+		}
+	}
+	f, err := strconv.Atoi(filled)
+	if err != nil {
+		t.Fatalf("session.build_store clusters_filled = %q", filled)
+	}
+	if c, _ := strconv.Atoi(clusters); f < 1 || f > c {
+		t.Fatalf("clusters_filled = %d of %d clusters", f, c)
+	}
 }

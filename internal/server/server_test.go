@@ -378,11 +378,12 @@ func TestHandlerErrorPaths(t *testing.T) {
 type snapshot struct {
 	L, KMin, KMax int
 	Ds            []int
-	PerD          map[int]snapshotEntry
+	PerD          []snapshotEntry
 	NumClusters   int
 }
 
 type snapshotEntry struct {
+	D         int
 	Intervals []intervaltree.Interval
 	Avg       []float64
 	MinSize   int
@@ -404,15 +405,15 @@ func TestSolutionBelowSmallestSweep(t *testing.T) {
 
 	snap := snapshot{
 		L: 8, KMin: 1, KMax: 6, Ds: []int{0, 1, 2},
-		PerD:        make(map[int]snapshotEntry),
 		NumClusters: numClusters,
 	}
 	for _, d := range snap.Ds {
-		snap.PerD[d] = snapshotEntry{
+		snap.PerD = append(snap.PerD, snapshotEntry{
+			D:         d,
 			Intervals: []intervaltree.Interval{{Lo: 3, Hi: 6, Payload: 0}},
 			Avg:       make([]float64, 6),
 			MinSize:   3,
-		}
+		})
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {

@@ -275,10 +275,15 @@ func (m *sessionManager) build(ctx context.Context, db *db, id, sql string, l, k
 	if l > res.N() {
 		return nil, fmt.Errorf("l = %d exceeds the %d result groups", l, res.N())
 	}
+	_, lsp := obs.StartSpan(ctx, "lattice.build")
 	sum, err := qagview.NewSummarizer(res, l)
 	if err != nil {
+		lsp.End()
 		return nil, err
 	}
+	lsp.SetInt("clusters", int64(sum.NumClusters()))
+	lsp.SetInt("tuples", int64(res.N()))
+	lsp.End()
 	// Validate the (k, D) grid now, while the client is still listening:
 	// these would otherwise surface only as a background build error.
 	seen := make(map[int]bool, len(ds))
@@ -301,10 +306,13 @@ func (m *sessionManager) build(ctx context.Context, db *db, id, sql string, l, k
 		created: time.Now(),
 	}
 	sort.Ints(s.Ds)
+	_, fsp := obs.StartSpan(ctx, "session.fingerprint")
+	fp := resultFingerprint(res)
+	fsp.End()
 	v := &sessionView{
 		sum:         sum,
 		dataVersion: gen,
-		dataFP:      resultFingerprint(res),
+		dataFP:      fp,
 		build:       newStoreBuild(cancel),
 	}
 	s.view.Store(v)
@@ -537,6 +545,7 @@ func (m *sessionManager) buildStore(ctx context.Context, s *session, v *sessionV
 	if st, ok := m.loadSnapshot(s, v); ok {
 		v.build.store, v.build.fromSnapshot = st, true
 		m.resize(s, v)
+		obs.FromContext(ctx).SetInt("clusters_filled", int64(v.sum.ClustersFilled()))
 		return
 	}
 	st, err := s.live.Precompute(s.KMin, s.KMax, s.Ds,
@@ -555,6 +564,7 @@ func (m *sessionManager) buildStore(ctx context.Context, s *session, v *sessionV
 	}
 	v.build.store = st
 	m.resize(s, v)
+	obs.FromContext(ctx).SetInt("clusters_filled", int64(v.sum.ClustersFilled()))
 	m.saveSnapshot(s, v, st)
 }
 

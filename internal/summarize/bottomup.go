@@ -18,7 +18,7 @@ type pairInfo struct {
 // solution: pairs whose endpoints left the solution are dropped lazily, and
 // merging appends pairs between the merged cluster and the survivors. This
 // avoids recomputing the quadratic pair set every greedy round. The pairs
-// buffer is retained across init calls, so a pooled replay state rebuilds
+// buffer is retained across init calls, so a reused replay state rebuilds
 // its pair set without reallocating.
 type pairSet struct {
 	ws    *workset

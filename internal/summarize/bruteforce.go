@@ -32,8 +32,8 @@ func BruteForceBudget(ix *lattice.Index, p Params, budget int) (*Solution, error
 	}
 	// coverers[rank] lists clusters covering the rank-th top tuple.
 	coverers := make([][]int32, p.L)
-	for ci := range ix.Clusters {
-		c := &ix.Clusters[ci]
+	for id := int32(0); id < int32(ix.NumClusters()); id++ {
+		c := ix.Cluster(id)
 		for _, t := range c.Cov {
 			if int(t) < p.L {
 				coverers[t] = append(coverers[t], c.ID)

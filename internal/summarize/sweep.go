@@ -14,10 +14,13 @@ import (
 // is reused as the starting state of the Bottom-Up phase for every (k, D)
 // combination.
 //
-// Replays draw their mutable state from an internal sync.Pool of resettable
-// replay states, so a (k, D) precompute grid reuses worksets, coverage
-// bitmaps, Delta-Judgment caches, pair buffers, and LCA memos across Ds
-// instead of reallocating them per replay.
+// Replays draw their mutable state from the sweeper's free list of
+// resettable replay states, so a (k, D) precompute grid reuses worksets,
+// coverage bitmaps, Delta-Judgment caches, pair buffers, and LCA memos
+// across Ds instead of reallocating them per replay. The list is the
+// sweeper's own, not a sync.Pool: a replay state points at its index, and
+// a pool would keep a dead session's index reachable until the runtime got
+// round to dropping it, two GC cycles later.
 type Sweeper struct {
 	ix   *Index
 	cfg  config
@@ -25,9 +28,8 @@ type Sweeper struct {
 	kMax int
 	base *workset // state after the shared Fixed-Order phase
 
-	pool sync.Pool // of *replayState
-
 	mu    sync.Mutex
+	free  []*replayState // idle replay states
 	stats ReplayStats
 }
 
@@ -45,9 +47,9 @@ type replayState struct {
 // a sweeper's replays, for the precompute experiments.
 type ReplayStats struct {
 	// Replays counts RunD calls that checked out a replay state (errored
-	// replays included — their state still returns to the pool).
+	// replays included — their state still returns to the free list).
 	Replays int
-	// PooledReuses counts replays that reused a pooled state instead of
+	// PooledReuses counts replays that reused an idle state instead of
 	// allocating a fresh one (allocations avoided: one full workset — dense
 	// membership and cache arrays, two bitmaps, pair buffer, LCA memo — per
 	// reuse).
@@ -141,11 +143,19 @@ func (sw *Sweeper) Stats() ReplayStats {
 	return sw.stats
 }
 
-// getState fetches a pooled replay state, or allocates one on first use (and
-// whenever more replays run concurrently than states have been pooled).
+// getState takes an idle replay state off the free list, or allocates one
+// on first use (and whenever more replays run concurrently than states have
+// been returned).
 func (sw *Sweeper) getState() (st *replayState, reused bool) {
-	if v := sw.pool.Get(); v != nil {
-		return v.(*replayState), true
+	sw.mu.Lock()
+	if n := len(sw.free); n > 0 {
+		st = sw.free[n-1]
+		sw.free[n-1] = nil
+		sw.free = sw.free[:n-1]
+	}
+	sw.mu.Unlock()
+	if st != nil {
+		return st, true
 	}
 	ws := newWorkset(sw.ix, sw.cfg.delta)
 	ws.obj = sw.cfg.obj
@@ -159,9 +169,9 @@ func (sw *Sweeper) getState() (st *replayState, reused bool) {
 // cluster disappears it never reappears, so each cluster's ks form one
 // interval.
 //
-// RunD is safe for concurrent use: each call checks a private replay state
-// out of the pool, resets it from the shared Fixed-Order state (which it
-// only reads), and returns it to the pool when done.
+// RunD is safe for concurrent use: each call takes a private replay state
+// off the free list, resets it from the shared Fixed-Order state (which it
+// only reads), and returns it to the list when done.
 func (sw *Sweeper) RunD(D, kMin int) (*SweepStates, error) {
 	if D < 0 || D > sw.ix.Space.M() {
 		return nil, fmt.Errorf("summarize: D = %d out of range [0, %d]", D, sw.ix.Space.M())
@@ -173,8 +183,8 @@ func (sw *Sweeper) RunD(D, kMin int) (*SweepStates, error) {
 	ws := st.ws
 	ws.resetFrom(sw.base)
 	memoHits0, memoMisses0 := ws.lca.Hits(), ws.lca.Misses()
-	// Return the state to the pool and record counters on every exit path,
-	// so an errored replay neither leaks its state nor skews the stats.
+	// Return the state to the free list and record counters on every exit
+	// path, so an errored replay neither leaks its state nor skews the stats.
 	defer func() {
 		sw.mu.Lock()
 		sw.stats.Replays++
@@ -183,8 +193,8 @@ func (sw *Sweeper) RunD(D, kMin int) (*SweepStates, error) {
 		}
 		sw.stats.LCAMemoHits += ws.lca.Hits() - memoHits0
 		sw.stats.LCAMemoMisses += ws.lca.Misses() - memoMisses0
+		sw.free = append(sw.free, st)
 		sw.mu.Unlock()
-		sw.pool.Put(st)
 	}()
 	st.ps.init(ws)
 	ps := &st.ps

@@ -10,7 +10,7 @@ package summarize
 // and deleted tuples change coverage sums, so the greedy choices may change,
 // and correctness demands re-deriving them — but every allocation-heavy
 // piece of replay state carries over: the base workset's dense membership
-// and Delta-Judgment arrays, the coverage bitmaps, every pooled replay state
+// and Delta-Judgment arrays, the coverage bitmaps, every idle replay state
 // (worksets + pair buffers), and, when the delta preserved cluster ids, the
 // LCA memos, whose id-keyed entries remain valid facts about the new index.
 // The result is bit-identical to a cold NewSweeper over the same index (see
@@ -22,7 +22,7 @@ package summarize
 // DeltaStats.FastPath guarantee of lattice.ApplyDelta, for every step
 // between the two indexes — and controls whether
 // LCA memos survive or are flushed. The receiver must not be used after
-// Warm returns: its base workset and pooled states now belong to the new
+// Warm returns: its base workset and idle states now belong to the new
 // sweeper.
 func (sw *Sweeper) Warm(ix *Index, idsPreserved bool) (*Sweeper, error) {
 	p := Params{K: sw.kMax * sw.cfg.hybridC, L: sw.l, D: 0}
@@ -34,20 +34,16 @@ func (sw *Sweeper) Warm(ix *Index, idsPreserved bool) (*Sweeper, error) {
 	if err := fixedOrderPhase(ws, p, nil); err != nil {
 		return nil, err
 	}
-	nw := &Sweeper{ix: ix, cfg: sw.cfg, l: sw.l, kMax: sw.kMax, base: ws}
-	// Migrate every pooled replay state to the new index. Draining the old
-	// pool is best-effort (the GC may have collected entries); anything not
-	// migrated is simply re-allocated on first use, as always.
-	for {
-		v := sw.pool.Get()
-		if v == nil {
-			break
-		}
-		st := v.(*replayState)
+	// Migrate every idle replay state to the new index and hand the list to
+	// the successor.
+	sw.mu.Lock()
+	free := sw.free
+	sw.free = nil
+	sw.mu.Unlock()
+	for _, st := range free {
 		st.ws.adoptIndex(ix, idsPreserved)
-		nw.pool.Put(st)
 	}
-	return nw, nil
+	return &Sweeper{ix: ix, cfg: sw.cfg, l: sw.l, kMax: sw.kMax, base: ws, free: free}, nil
 }
 
 // adoptIndex rebinds a workset to a successor index, growing the dense

@@ -51,9 +51,6 @@ type (
 	// PrecomputeOption customizes precompute runs (parallelism, forwarded
 	// algorithm options).
 	PrecomputeOption = precompute.Option
-	// BuildOption customizes the cluster-space build of NewSummarizer
-	// (phase-2 worker count, key representation).
-	BuildOption = lattice.BuildOption
 	// Stats reports evaluation-work counters.
 	Stats = summarize.Stats
 	// ReplayStats reports precompute replay-pooling and LCA-memo counters
@@ -150,14 +147,6 @@ var (
 	ExecProfile = engine.ExecProfile
 )
 
-// Build option constructors, re-exported.
-var (
-	// BuildParallelism bounds the worker goroutines of the cluster-space
-	// build's coverage-mapping phase (default GOMAXPROCS); the built space is
-	// bit-identical at any setting.
-	BuildParallelism = lattice.BuildParallelism
-)
-
 // DB is a named collection of in-memory relations that aggregate queries run
 // against; it plays the role of the paper's PostgreSQL backend.
 type DB struct {
@@ -228,24 +217,23 @@ type Summarizer struct {
 
 // NewSummarizer builds the cluster space for the top-L tuples of a query
 // result. The result must contain at least one row, and L must be within
-// [1, N]. Options tune the build (see BuildParallelism); the space itself is
-// the same at any setting.
-func NewSummarizer(res *Result, L int, opts ...BuildOption) (*Summarizer, error) {
+// [1, N]. Clusters get their coverage when an algorithm first reaches them.
+func NewSummarizer(res *Result, L int) (*Summarizer, error) {
 	if res == nil {
 		return nil, fmt.Errorf("qagview: nil result")
 	}
-	return NewSummarizerFromRows(res.GroupBy, res.Rows, res.Vals, L, opts...)
+	return NewSummarizerFromRows(res.GroupBy, res.Rows, res.Vals, L)
 }
 
 // NewSummarizerFromRows builds a Summarizer directly from rendered rows and
 // values (for callers whose scores do not come from a SQL query, e.g. a
 // domain expert, as Section 3 notes).
-func NewSummarizerFromRows(attrs []string, rows [][]string, vals []float64, L int, opts ...BuildOption) (*Summarizer, error) {
+func NewSummarizerFromRows(attrs []string, rows [][]string, vals []float64, L int) (*Summarizer, error) {
 	space, err := lattice.NewSpace(attrs, rows, vals)
 	if err != nil {
 		return nil, err
 	}
-	ix, err := lattice.BuildIndex(space, L, opts...)
+	ix, err := lattice.BuildIndex(space, L)
 	if err != nil {
 		return nil, err
 	}
@@ -264,20 +252,22 @@ func (s *Summarizer) M() int { return s.space.M() }
 // Attrs returns the grouping attribute names.
 func (s *Summarizer) Attrs() []string { return s.space.Attrs }
 
-// NumClusters returns the size of the materialized cluster space.
+// NumClusters returns the size of the generated cluster space.
 func (s *Summarizer) NumClusters() int { return s.ix.NumClusters() }
 
-// ApproxBytes estimates the summarizer's resident memory: cluster records
-// and key tables, the shared coverage arena, and the answer-space tuples.
-// Cache layers (the qagviewd session LRU) use it for byte-budget accounting;
-// it is an estimate, not an exact allocator figure. Store.SizeBytes is the
-// companion figure for precomputed sweeps.
+// ClustersFilled returns how many clusters have been given their coverage
+// so far: the clusters the algorithms run on this summarizer reached.
+func (s *Summarizer) ClustersFilled() int { return s.ix.FilledClusters() }
+
+// ApproxBytes estimates the summarizer's resident memory: cluster keys and
+// key table, the posting bitmaps, the filled cluster records with their
+// coverage, and the answer-space tuples. It grows as clusters are filled
+// and is safe to call while they are. Cache layers (the qagviewd session
+// LRU) use it for byte-budget accounting; it is an estimate, not an exact
+// allocator figure. Store.SizeBytes is the companion figure for
+// precomputed sweeps.
 func (s *Summarizer) ApproxBytes() int64 {
-	const clusterBytes = 96 // Cluster record + packed key + map slot, amortized
-	n := int64(s.ix.NumClusters()) * clusterBytes
-	n += int64(s.ix.CoverageArenaLen()) * 4
-	n += int64(s.space.N()) * int64(s.space.M()+2) * 4 // tuples + vals
-	return n
+	return s.ix.Bytes() + int64(s.space.N())*int64(s.space.M()+2)*4 // tuples + vals
 }
 
 // Summarize runs the named algorithm for the given parameters. Params.L may
