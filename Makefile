@@ -11,7 +11,7 @@ BENCH_TIME    ?= 3x
 BENCH_OUT     ?= bench.txt
 BENCH_JSON    ?= BENCH_10.json
 
-.PHONY: build test race bench benchgate fuzz fmt vet lint qagcheck crash ci e2e serve
+.PHONY: build test race bench benchgate fuzz fmt vet lint qagcheck crash ci e2e e2ebench-test serve
 
 build:
 	go build ./...
@@ -76,8 +76,17 @@ fuzz:
 e2e:
 	./scripts/e2e_smoke.sh
 
+# e2ebench-test runs the end-to-end benchmark's self-test: e2ebench/ is a
+# module of its own that imports internal APIs, so it builds against this
+# tree and runs tiny traced and untraced runs of every workload.
+e2ebench-test:
+	cd e2ebench && go test ./...
+
 # serve runs the exploration server on :8080 with the MovieLens sample.
 serve:
 	go run ./cmd/qagviewd -addr :8080 -sample movielens
 
-ci: vet lint build test race crash
+# ci runs locally what the CI workflow's jobs check, short of the fuzz
+# smokes, the repeated concurrency step, the staticcheck and govulncheck
+# installs, and the benchmark gate.
+ci: vet lint build test race qagcheck crash e2ebench-test

@@ -22,6 +22,7 @@ import (
 	"qagview"
 	"qagview/internal/baselines"
 	"qagview/internal/dtree"
+	"qagview/internal/engine"
 	"qagview/internal/exp"
 	"qagview/internal/lattice"
 	"qagview/internal/movielens"
@@ -598,7 +599,7 @@ func BenchmarkExecuteMovieLens(b *testing.B) {
 		name string
 		opts []qagview.QueryOption
 	}{
-		{"reference", []qagview.QueryOption{qagview.ExecReference()}},
+		{"reference", []qagview.QueryOption{engine.ExecReference()}},
 		{"vec_par1", []qagview.QueryOption{qagview.ExecParallelism(1)}},
 		{"vec_par8", []qagview.QueryOption{qagview.ExecParallelism(8)}},
 	}

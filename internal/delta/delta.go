@@ -6,81 +6,16 @@
 // The paper's interactive loop assumes a frozen answer set; a production
 // service does not get that luxury. This package tracks how every derived
 // layer depends on the base tuples and propagates batched appends and
-// deletes through them: Diff matches a re-ranked query result against the
-// current space to find what actually changed, Maintainer applies the delta
-// through lattice.Index.Rebase (copy-on-write, bit-identical to a rebuild),
-// warm-starts the next summarization sweeper from the previous one
+// deletes through them: Maintainer applies a re-ranked query result through
+// lattice.Index.Rebase (copy-on-write, bit-identical to a rebuild, and a
+// no-op when nothing changed), warm-starts the next summarization sweeper
+// from the previous one
 // (summarize.Sweeper.Warm), and stamps every precomputed store with a
 // monotonically increasing data generation so serving layers can tell fresh
 // sweeps from superseded ones.
 package delta
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-	"sort"
-	"strings"
-
-	"qagview/internal/lattice"
-)
-
-// Diff matches a replacement answer set (rows with values, any order)
-// against the current space, producing the origin mapping Rebase consumes:
-// origin[i] is the index of the current tuple that row i carries over
-// unchanged, or -1 for a new row. Current tuples not named by origin are
-// deletions. Matching is by rendered row and exact value bits, multiset-
-// style: duplicate (row, value) pairs match in rank order, which preserves
-// their relative order through a rebase. changed reports whether the new set
-// differs from the current one at all (any append, delete, or reorder).
-func Diff(s *lattice.Space, rows [][]string, vals []float64) (origin []int32, changed bool, err error) {
-	if len(rows) != len(vals) {
-		return nil, false, fmt.Errorf("delta: %d rows but %d values", len(rows), len(vals))
-	}
-	m := s.M()
-	var sb strings.Builder
-	var bits [8]byte
-	keyOf := func(row []string, val float64) string {
-		sb.Reset()
-		for _, v := range row {
-			sb.WriteString(v)
-			sb.WriteByte(0)
-		}
-		binary.LittleEndian.PutUint64(bits[:], math.Float64bits(val))
-		sb.Write(bits[:])
-		return sb.String()
-	}
-	current := make(map[string][]int32, s.N())
-	for i, t := range s.Tuples {
-		k := keyOf(s.Render(t), s.Vals[i])
-		current[k] = append(current[k], int32(i))
-	}
-	origin = make([]int32, len(rows))
-	matched := 0
-	for i, row := range rows {
-		if len(row) != m {
-			return nil, false, fmt.Errorf("delta: row %d has %d attributes, want %d", i, len(row), m)
-		}
-		k := keyOf(row, vals[i])
-		if q := current[k]; len(q) > 0 {
-			origin[i] = q[0]
-			current[k] = q[1:]
-			matched++
-		} else {
-			origin[i] = -1
-		}
-	}
-	changed = matched != s.N() || matched != len(rows)
-	if !changed {
-		for i, o := range origin {
-			if o != int32(i) {
-				changed = true // same multiset, reordered ranking
-				break
-			}
-		}
-	}
-	return origin, changed, nil
-}
+import "sort"
 
 // sortResult orders (rows, vals) by descending value, stable — the ranking
 // lattice.NewSpace derives and Rebase requires — returning fresh slices when

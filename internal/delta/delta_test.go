@@ -110,58 +110,6 @@ func assertStoresEqual(t *testing.T, label string, got, want *precompute.Store, 
 	}
 }
 
-func TestDiff(t *testing.T) {
-	rows := [][]string{{"a", "x"}, {"b", "x"}, {"a", "y"}}
-	vals := []float64{3, 2, 1}
-	s, err := lattice.NewSpace([]string{"p", "q"}, rows, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Identity.
-	origin, changed, err := Diff(s, rows, vals)
-	if err != nil || changed {
-		t.Fatalf("identity diff: changed=%v err=%v", changed, err)
-	}
-	if !reflect.DeepEqual(origin, []int32{0, 1, 2}) {
-		t.Fatalf("identity origin %v", origin)
-	}
-	// Value change = delete + append; one fresh row; one deletion.
-	origin, changed, err = Diff(s,
-		[][]string{{"a", "x"}, {"b", "x"}, {"c", "x"}},
-		[]float64{3, 2.5, 1})
-	if err != nil || !changed {
-		t.Fatalf("diff: changed=%v err=%v", changed, err)
-	}
-	if !reflect.DeepEqual(origin, []int32{0, -1, -1}) {
-		t.Fatalf("origin %v, want [0 -1 -1]", origin)
-	}
-	// Duplicates pair in rank order.
-	dupRows := [][]string{{"a", "x"}, {"a", "x"}, {"b", "y"}}
-	dupVals := []float64{2, 2, 1}
-	ds, err := lattice.NewSpace([]string{"p", "q"}, dupRows, dupVals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	origin, changed, err = Diff(ds, dupRows, dupVals)
-	if err != nil || changed {
-		t.Fatalf("dup identity: changed=%v err=%v", changed, err)
-	}
-	if !reflect.DeepEqual(origin, []int32{0, 1, 2}) {
-		t.Fatalf("dup origin %v", origin)
-	}
-	// A pure reorder of tied rows still reports changed.
-	origin, changed, err = Diff(ds,
-		[][]string{{"a", "x"}, {"b", "y"}, {"a", "x"}},
-		[]float64{2, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = origin
-	if !changed {
-		t.Fatal("reordered multiset must report changed")
-	}
-}
-
 // TestMaintainerMatchesRebuild chains refreshes over a synthetic answer set
 // — appends below the top L, value changes, deletes, and a new leader — and
 // after every generation proves the maintained state equals a cold rebuild:
@@ -380,7 +328,7 @@ func TestMaintainerMovieLens(t *testing.T) {
 
 // assertIndexEqual fails unless got and want hold the same ranking and the
 // same clusters under the same ids: rendered patterns, coverage lists and
-// value sums, bit for bit.
+// value sums, bit for bit, and the same singleton and all-star ids.
 func assertIndexEqual(t *testing.T, label string, got, want *lattice.Index) {
 	t.Helper()
 	gs, ws := got.Space, want.Space
@@ -398,16 +346,24 @@ func assertIndexEqual(t *testing.T, label string, got, want *lattice.Index) {
 			t.Fatalf("%s: cluster %d differs", label, id)
 		}
 	}
+	for rank := 0; rank < want.L; rank++ {
+		if got.Singleton(rank).ID != want.Singleton(rank).ID {
+			t.Fatalf("%s: singleton %d is cluster %d, want %d", label, rank, got.Singleton(rank).ID, want.Singleton(rank).ID)
+		}
+	}
+	if got.L != want.L || got.AllStar().ID != want.AllStar().ID {
+		t.Fatalf("%s: L %d all-star %d, want %d and %d", label, got.L, got.AllStar().ID, want.L, want.AllStar().ID)
+	}
 }
 
-// TestRefreshWithOriginDeferredWarm drives the maintainer the way a live
-// session does: appended MovieLens ratings are folded into the engine's
-// retained aggregation, and every changed fold goes to RefreshWithOrigin
-// with the fold's origin. After every refresh the index must equal a cold
-// NewSpace + BuildIndex over a full query; stores are precomputed only
-// every other step, so one deferred warm covers two refreshes, and each
-// store must equal a cold precompute.
-func TestRefreshWithOriginDeferredWarm(t *testing.T) {
+// TestFoldRefreshDeferredWarm drives the maintainer the way a live session
+// does: appended MovieLens ratings are folded into the engine's retained
+// aggregation, and every fold's result goes to RefreshCtx, which must find
+// a change exactly when the fold reported one. After every refresh the
+// index must equal a cold NewSpace + BuildIndex over a full query; stores
+// are precomputed only every other step, so one deferred warm covers two
+// refreshes, and each store must equal a cold precompute.
+func TestFoldRefreshDeferredWarm(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rel, err := movielens.Generate(movielens.Config{Users: 300, Movies: 400, Ratings: 20000, Seed: 5})
 	if err != nil {
@@ -473,12 +429,12 @@ func TestRefreshWithOriginDeferredWarm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f.Changed {
+		stats, changed, err := mt.RefreshCtx(context.Background(), f.Result.Rows, f.Result.Vals)
+		if err != nil || changed != f.Changed {
+			t.Fatalf("step %d: refresh changed=%v err=%v, the fold reported changed=%v", step, changed, err, f.Changed)
+		}
+		if changed {
 			folds++
-			stats, err := mt.RefreshWithOrigin(context.Background(), f.Result.Rows, f.Result.Vals, f.Origin)
-			if err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
 			if stats.FastPath {
 				fast++
 			} else {

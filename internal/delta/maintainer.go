@@ -3,6 +3,7 @@ package delta
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"qagview/internal/lattice"
 	"qagview/internal/obs"
@@ -55,62 +56,33 @@ func (m *Maintainer) Generation() uint64 { return m.gen }
 func (m *Maintainer) Index() *lattice.Index { return m.ix }
 
 // Refresh reconciles the maintainer with a re-run query result: the rows are
-// ranked (stable by descending value, as NewSpace would), diffed against the
-// current space, and — when anything changed — applied through the
-// incremental Rebase, bumping the generation. changed is false (and the
-// generation unchanged) when the result is identical to the current answer
-// set.
+// ranked (stable by descending value, as NewSpace would) and applied through
+// the incremental Rebase, bumping the generation when anything changed.
+// changed is false (and the generation unchanged) when the result is
+// identical to the current answer set.
 func (m *Maintainer) Refresh(rows [][]string, vals []float64) (lattice.DeltaStats, bool, error) {
 	return m.RefreshCtx(context.Background(), rows, vals)
 }
 
 // RefreshCtx is Refresh under a caller context, so traced requests (see
-// internal/obs) record the diff and rebase stages as spans. The context
-// carries observability only — refreshes are not cancellable midway.
-func (m *Maintainer) RefreshCtx(ctx context.Context, rows [][]string, vals []float64) (stats lattice.DeltaStats, changed bool, err error) {
+// internal/obs) record the rebase as a span. The context carries
+// observability only — refreshes are not cancellable midway.
+func (m *Maintainer) RefreshCtx(ctx context.Context, rows [][]string, vals []float64) (lattice.DeltaStats, bool, error) {
 	ctx, sp := obs.StartSpan(ctx, "delta.refresh")
 	defer sp.End()
 	rows, vals = sortResult(rows, vals)
-	_, dsp := obs.StartSpan(ctx, "delta.diff")
-	origin, changed, err := Diff(m.ix.Space, rows, vals)
-	dsp.End()
-	if err != nil {
-		return stats, false, err
-	}
-	if !changed {
-		sp.SetAttr("changed", "false")
-		return stats, false, nil
-	}
-	sp.SetAttr("changed", "true")
-	return m.rebase(ctx, rows, vals, origin)
-}
-
-// RefreshWithOrigin applies a replacement answer set whose delta against
-// the current one the caller already knows: rows and vals in ranked
-// (non-increasing value) order, and origin as Rebase takes it — the current
-// rank each row carries over unchanged, or -1. It is Refresh without the
-// ranking sort and the diff, for callers that track answers by identity
-// (the engine's retained aggregation); callers skip it when nothing
-// changed. Rebase verifies every kept row against its origin tuple.
-func (m *Maintainer) RefreshWithOrigin(ctx context.Context, rows [][]string, vals []float64, origin []int32) (lattice.DeltaStats, error) {
-	ctx, sp := obs.StartSpan(ctx, "delta.refresh")
-	defer sp.End()
-	sp.SetAttr("changed", "true")
-	assertOrigin(m.ix.Space, rows, vals, origin)
-	stats, _, err := m.rebase(ctx, rows, vals, origin)
-	return stats, err
-}
-
-// rebase applies rows through Rebase and installs the result.
-func (m *Maintainer) rebase(ctx context.Context, rows [][]string, vals []float64, origin []int32) (lattice.DeltaStats, bool, error) {
 	_, rsp := obs.StartSpan(ctx, "delta.rebase")
-	nix, stats, err := m.ix.Rebase(rows, vals, origin)
+	nix, stats, err := m.ix.Rebase(rows, vals)
 	rsp.End()
 	if err != nil {
 		return stats, false, err
 	}
-	m.install(nix, stats)
-	return stats, true, nil
+	changed := nix != m.ix
+	sp.SetAttr("changed", strconv.FormatBool(changed))
+	if changed {
+		m.install(nix, stats)
+	}
+	return stats, changed, nil
 }
 
 // Apply applies a prebuilt batch of appends and deletes (callers that know

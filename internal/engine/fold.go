@@ -19,10 +19,9 @@ import (
 // parent's codes as a prefix (first-seen order), so the retained key table
 // still names every old group.
 //
-// A fold also knows each output row's group id, so it reports the change
-// against the previous output as a typed delta (origin, changed) — what
-// matching rendered rows and value bits (delta.Diff) would find, without
-// rendering anything twice.
+// A fold also knows each output row's group id, so it tells whether the
+// ranked output changed by comparing group ids and value bits with the
+// previous output's, without rendering anything twice.
 
 // Retained is the aggregation state of one foldable query (see foldable):
 // the group table, the key layout its keys were packed with, the lineage
@@ -36,30 +35,25 @@ type Retained struct {
 	codec *pattern.Codec
 	t     *groupTable
 
-	// The last output in rank order: each row's group id and value bits,
-	// and each group's rank in it (-1 when absent), indexed by group id.
+	// The last output in rank order: each row's group id and value bits.
 	ids  []int32
 	bits []uint64
-	rank []int32
 
 	check foldCheck
 }
 
-// Folded is one fold's output: the query's result over the new generation
-// and its typed delta against the previous output. Origin[i] is the
-// previous rank of row i's group when it held the same value bits there,
-// and -1 otherwise; Changed reports whether the ranked output (groups and
-// value bits) differs at all. Rows counts the appended rows aggregated.
+// Folded is one fold's output: the query's result over the new generation,
+// whether that ranked output (groups and value bits) differs from the
+// previous one at all, and the number of appended rows aggregated.
 type Folded struct {
 	Result  *Result
-	Origin  []int32
 	Changed bool
 	Rows    int
 }
 
 // foldable reports whether Fold maintains q: a single-table query ordered
 // by its value, descending. That is the ranking sessions summarize, so the
-// output order is the one a typed delta's ranks refer to. Joins are not
+// output order is the one Changed compares rank by rank. Joins are not
 // folded (their appended tuples need not sort last), and neither are other
 // orders.
 func foldable(q *Query) bool {
@@ -149,54 +143,40 @@ func (r *Retained) Fold(cat Catalog, opts ...ExecOption) (*Folded, bool, error) 
 	if cfg.prof != nil {
 		res.Profile = cfg.prof.snapshot()
 	}
-	f := &Folded{Result: res, Rows: rel.NumRows() - vp.from}
-	f.Origin, f.Changed = r.delta(ids, res.Vals)
+	f := &Folded{Result: res, Changed: r.changed(ids, res.Vals), Rows: rel.NumRows() - vp.from}
 	r.check.fold(vp, res, f)
 	r.rel = rel.Lineage()
 	r.setOutput(ids, res.Vals)
 	return f, true, nil
 }
 
-// delta matches a new output against the previous one by group id and
-// value bits.
-func (r *Retained) delta(ids []int32, vals []float64) (origin []int32, changed bool) {
-	origin = make([]int32, len(ids))
-	changed = len(ids) != len(r.ids)
+// changed reports whether a new output differs from the previous one: in
+// length, or at some rank in its group id or value bits.
+func (r *Retained) changed(ids []int32, vals []float64) bool {
+	if len(ids) != len(r.ids) {
+		return true
+	}
 	for i, g := range ids {
-		o := int32(-1)
-		if int(g) < len(r.rank) {
-			if p := r.rank[g]; p >= 0 && r.bits[p] == math.Float64bits(vals[i]) {
-				o = p
-			}
-		}
-		origin[i] = o
-		if o != int32(i) {
-			changed = true
+		if g != r.ids[i] || math.Float64bits(vals[i]) != r.bits[i] {
+			return true
 		}
 	}
-	return origin, changed
+	return false
 }
 
 // setOutput records a new output as the previous one for the next fold.
 func (r *Retained) setOutput(ids []int32, vals []float64) {
-	for _, g := range r.ids {
-		r.rank[g] = -1
-	}
-	for len(r.rank) < len(r.t.firstRow) {
-		r.rank = append(r.rank, -1)
-	}
 	r.bits = r.bits[:0]
-	for i, g := range ids {
-		r.rank[g] = int32(i)
-		r.bits = append(r.bits, math.Float64bits(vals[i]))
+	for _, v := range vals {
+		r.bits = append(r.bits, math.Float64bits(v))
 	}
 	r.ids = ids
 }
 
 // ApproxBytes estimates the state's resident memory for cache accounting:
-// the key table, the per-group accumulators and ranks, and the previous
-// output's ids and value bits.
+// the key table, the per-group accumulators, and the previous output's ids
+// and value bits.
 func (r *Retained) ApproxBytes() int64 {
-	perGroup := int64(4 + 8 + 3*8 + 4 + 32*len(r.t.hcnt))
+	perGroup := int64(4 + 8 + 3*8 + 32*len(r.t.hcnt))
 	return r.t.keys.Bytes() + int64(len(r.t.firstRow))*perGroup + int64(len(r.ids))*12
 }

@@ -269,7 +269,7 @@ func FuzzExec(f *testing.F) {
 // checkFoldSplit runs a foldable single-table query split at a row derived
 // from its text: the retained aggregation is seeded on the table's first r
 // rows, the rest are appended, and the fold must equal a full execution
-// plus delta.Diff against the seed's output.
+// and report a change exactly when its output differs from the seed's.
 func checkFoldSplit(t *testing.T, cat catalog, q *Query, sql string) {
 	full, ok := cat[q.Table]
 	if !ok || len(q.Joins) > 0 {

@@ -54,12 +54,8 @@ type foldCheck struct{ prev *Result }
 func (c *foldCheck) seed(res *Result) { c.prev = res }
 
 // fold asserts that a fold's result equals a full executeVec over the new
-// generation, bit for bit, that changed is exactly "the ranked output
-// differs from the previous one", and that origin is what matching rows by
-// rendered values and value bits finds — delta.Diff's rule, which a test
-// asserts directly and the maintainer asserts again where it consumes the
-// origin. (An output never holds two equal rendered rows, so the match is
-// one to one.)
+// generation, bit for bit, and that changed is exactly "the ranked output
+// differs from the previous one".
 func (c *foldCheck) fold(vp *vecPlan, res *Result, f *Folded) {
 	full, err := executeVec(newVecPlan(vp.execPlan), execConfig{par: 1})
 	if err != nil {
@@ -70,22 +66,6 @@ func (c *foldCheck) fold(vp *vecPlan, res *Result, f *Folded) {
 	}
 	if f.Changed == sameResult(c.prev, res) {
 		panic(fmt.Sprintf("qagcheck: fold: changed = %v, but the output %s", f.Changed, map[bool]string{true: "is the previous one", false: "differs"}[!f.Changed]))
-	}
-	key := func(row []string, v float64) string {
-		return fmt.Sprintf("%q/%x", row, math.Float64bits(v))
-	}
-	prevRank := make(map[string]int32, len(c.prev.Rows))
-	for i, row := range c.prev.Rows {
-		prevRank[key(row, c.prev.Vals[i])] = int32(i)
-	}
-	for i, row := range res.Rows {
-		want, ok := prevRank[key(row, res.Vals[i])]
-		if !ok {
-			want = -1
-		}
-		if f.Origin[i] != want {
-			panic(fmt.Sprintf("qagcheck: fold: row %d has origin %d, matching rows and value bits gives %d", i, f.Origin[i], want))
-		}
 	}
 	c.prev = res
 }

@@ -47,26 +47,29 @@ func TestQagcheckCatchesBadJoinTuples(t *testing.T) {
 }
 
 // The fold oracle must fire on a fold whose retained state is corrupt (a
-// sum no full execution reproduces) and on a wrong changed flag.
+// sum no full execution reproduces) and on a wrong changed flag: previous
+// value bits corrupted before a batch that leaves the output unchanged
+// (x = 0 adds nothing to p's sum) make the fold report a change.
 func TestQagcheckCatchesBadFold(t *testing.T) {
 	q, err := Parse("select a, sum(x) as v from t group by a order by v desc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel := relation.MustFromColumns("t", relation.StringCol("a", []string{"p", "q"}), relation.FloatCol("x", []float64{1, 2}))
-	next, err := rel.Append([]relation.Column{relation.StringCol("a", []string{"p"}), relation.FloatCol("x", []float64{5})})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
 		name    string
 		corrupt func(*Retained)
+		x       float64 // the appended row's value, in group p
 		want    string
 	}{
-		{"corrupt sum", func(r *Retained) { r.t.sum[0] += 1 }, "differs from a full execution"},
-		{"stale previous output", func(r *Retained) { r.bits[0]++ }, "origin"},
+		{"corrupt sum", func(r *Retained) { r.t.sum[0] += 1 }, 5, "differs from a full execution"},
+		{"stale previous output", func(r *Retained) { r.bits[0]++ }, 0, "changed = true"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
+			rel := relation.MustFromColumns("t", relation.StringCol("a", []string{"p", "q"}), relation.FloatCol("x", []float64{1, 2}))
+			next, err := rel.Append([]relation.Column{relation.StringCol("a", []string{"p"}), relation.FloatCol("x", []float64{c.x})})
+			if err != nil {
+				t.Fatal(err)
+			}
 			_, kept, err := Retain(catalog{"t": rel}, q)
 			if err != nil || kept == nil {
 				t.Fatalf("Retain: %v, %v", kept, err)

@@ -112,34 +112,7 @@ func applyAndCheck(t *testing.T, label string, ix *Index, d Delta) (*Index, Delt
 		t.Fatalf("%s: rebuild index: %v", label, err)
 	}
 	assertIndexEquivalent(t, label, nix, rebuilt)
-	if n, d := churnByPattern(ix, nix); stats.NewClusters != n || stats.DroppedClusters != d {
-		t.Fatalf("%s: churn %d new, %d dropped; the pattern sets differ by %d and %d", label, stats.NewClusters, stats.DroppedClusters, n, d)
-	}
 	return nix, stats
-}
-
-// churnByPattern counts the rendered patterns only b generates and those
-// only a generates.
-func churnByPattern(a, b *Index) (added, dropped int) {
-	set := func(ix *Index) map[string]bool {
-		m := make(map[string]bool, ix.NumClusters())
-		for _, c := range allClusters(ix) {
-			m[ix.Space.FormatPattern(c.Pat)] = true
-		}
-		return m
-	}
-	sa, sb := set(a), set(b)
-	for p := range sb {
-		if !sa[p] {
-			added++
-		}
-	}
-	for p := range sa {
-		if !sb[p] {
-			dropped++
-		}
-	}
-	return added, dropped
 }
 
 // lowVal returns a value strictly below the top-L threshold of the space, so
@@ -183,12 +156,6 @@ func TestApplyDeltaFastPath(t *testing.T) {
 		if !stats.FastPath {
 			t.Fatalf("expected the fast path, got %+v", stats)
 		}
-		if stats.NewClusters != 0 || stats.DroppedClusters != 0 {
-			t.Fatalf("fast path churned clusters: %+v", stats)
-		}
-		if stats.Appended != 10 || stats.Deleted != 3 {
-			t.Fatalf("miscounted batch: %+v", stats)
-		}
 		if stats.TouchedClusters != 0 || stats.Repacked || nix.generation != ix.generation {
 			t.Fatalf("fast path regenerated instead of sharing the generation: %+v", stats)
 		}
@@ -199,8 +166,8 @@ func TestApplyDeltaFastPath(t *testing.T) {
 }
 
 // TestApplyDeltaTopLChurn pins the slow path: appends entering the top L and
-// deletes inside it regenerate the cluster set, matching surviving clusters
-// and materializing new ones, still bit-identical to the rebuild.
+// deletes inside it regenerate the cluster set, every cluster of it, still
+// bit-identical to the rebuild.
 func TestApplyDeltaTopLChurn(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		s := randomSpace(t, 70+seed, 100, 4, 4)
@@ -215,15 +182,12 @@ func TestApplyDeltaTopLChurn(t *testing.T) {
 			AppendVals:  []float64{top, s.Vals[ix.L/2]}, // one new leader, one mid-pack tie
 			DeleteRanks: []int{0, ix.L - 1, s.N() - 2},
 		}
-		_, stats := applyAndCheck(t, fmt.Sprintf("seed%d", seed), ix, d)
+		nix, stats := applyAndCheck(t, fmt.Sprintf("seed%d", seed), ix, d)
 		if stats.FastPath {
 			t.Fatalf("top-L churn must take the slow path: %+v", stats)
 		}
-		if stats.NewClusters == 0 {
-			t.Fatalf("a fresh leader tuple must materialize clusters: %+v", stats)
-		}
-		if stats.DroppedClusters == 0 {
-			t.Fatalf("deleting rank 0 must drop its exclusive clusters: %+v", stats)
+		if !stats.Repacked || stats.TouchedClusters != nix.NumClusters() || nix.generation == ix.generation {
+			t.Fatalf("the slow path must regenerate every cluster: %+v of %d clusters", stats, nix.NumClusters())
 		}
 	}
 }
@@ -369,7 +333,7 @@ func TestApplyDeltaWordOverflow(t *testing.T) {
 	}
 }
 
-// TestRebaseReorder drives Rebase with an origin that reorders kept tuples
+// TestRebaseReorder drives Rebase with a ranking that reorders kept tuples
 // (legal for a caller whose upstream ranking reshuffled ties): sums must be
 // re-accumulated in the new order, bit-identical to the rebuild.
 func TestRebaseReorder(t *testing.T) {
@@ -393,8 +357,7 @@ func TestRebaseReorder(t *testing.T) {
 		s.Render(s.Tuples[5]),
 	}
 	newVals := []float64{5, 4, 3, 3, 3, 2, 1}
-	origin := []int32{0, 1, 4, 2, 3, -1, 5}
-	nix, stats, err := ix.Rebase(newRows, newVals, origin)
+	nix, stats, err := ix.Rebase(newRows, newVals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,23 +407,22 @@ func TestApplyDeltaErrors(t *testing.T) {
 			t.Errorf("%s: want error", tc.name)
 		}
 	}
-	// Rebase-specific: reordered values and mismatched origins.
+	// Rebase-specific: mismatched lengths, arity, and reordered values.
 	rows := renderAll(s)
-	if _, _, err := ix.Rebase(rows[:s.N()-1], s.Vals[:s.N()-1], make([]int32, s.N()-2)); err == nil {
+	if _, _, err := ix.Rebase(rows[:s.N()-1], s.Vals); err == nil {
 		t.Error("length mismatch: want error")
 	}
-	origin := make([]int32, s.N())
-	for i := range origin {
-		origin[i] = int32(i)
+	short := append([][]string{{"a"}}, rows[1:]...)
+	if _, _, err := ix.Rebase(short, s.Vals); err == nil {
+		t.Error("arity: want error")
 	}
 	badVals := append([]float64(nil), s.Vals...)
 	badVals[2], badVals[0] = badVals[0], badVals[2]
-	if _, _, err := ix.Rebase(rows, badVals, origin); err == nil {
+	if _, _, err := ix.Rebase(rows, badVals); err == nil {
 		t.Error("unsorted values: want error")
 	}
-	origin[1] = 2
-	if _, _, err := ix.Rebase(rows, s.Vals, origin); err == nil {
-		t.Error("duplicate origin: want error")
+	if _, _, err := ix.Rebase(rows[:ix.L-1], s.Vals[:ix.L-1]); err == nil {
+		t.Error("shrink below L: want error")
 	}
 }
 
@@ -539,7 +501,7 @@ func TestApplyDeltaEmpty(t *testing.T) {
 		t.Fatal("zero Delta should be Empty")
 	}
 	nix, stats := applyAndCheck(t, "empty", ix, d)
-	if !stats.FastPath || stats.TouchedClusters != 0 || stats.Appended != 0 || stats.Deleted != 0 {
+	if !stats.FastPath || stats.TouchedClusters != 0 || stats.Repacked {
 		t.Fatalf("no-op stats: %+v", stats)
 	}
 	assertIndexBitIdentical(t, "empty", nix, ix)

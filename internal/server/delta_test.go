@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"qagview"
+	"qagview/internal/engine"
 )
 
 func del(t *testing.T, ts *httptest.Server, path string) response {
@@ -378,7 +379,7 @@ func TestRefreshBitIdenticalAcrossExecParallelism(t *testing.T) {
 	run := func(t *testing.T, reference bool, par int) snap {
 		srv, ts := testServer(t, Config{ExecParallelism: par})
 		if reference {
-			srv.db.execOpts = []qagview.QueryOption{qagview.ExecReference()}
+			srv.db.execOpts = []qagview.QueryOption{engine.ExecReference()}
 		}
 		id := openSession(t, ts)
 		waitReady(t, ts, id)

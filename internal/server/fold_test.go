@@ -554,7 +554,7 @@ func mustGen(t *testing.T, srv *Server, name string) uint64 {
 
 // TestRefreshSpansAndDeferredBuild pins where a fold's work shows up and
 // when the successor build runs: a traced fresh read's session.refresh
-// takes the fold path (engine.fold, no engine.execute or delta.diff), the
+// takes the fold path (engine.fold and delta.rebase, no engine.execute), the
 // build it starts waits for that read to be answered, and its
 // session.build_store trace warms the sweeper (delta.warm) before the sweep.
 func TestRefreshSpansAndDeferredBuild(t *testing.T) {
@@ -581,10 +581,11 @@ func TestRefreshSpansAndDeferredBuild(t *testing.T) {
 	if _, ok := findSpanJSON(sp, "engine.fold"); !ok {
 		t.Fatalf("session.refresh has no engine.fold span: %s", sol.raw)
 	}
-	for _, name := range []string{"engine.execute", "delta.diff"} {
-		if _, ok := findSpanJSON(sp, name); ok {
-			t.Fatalf("a fold ran %s: %s", name, sol.raw)
-		}
+	if _, ok := findSpanJSON(sp, "engine.execute"); ok {
+		t.Fatalf("a fold ran engine.execute: %s", sol.raw)
+	}
+	if _, ok := findSpanJSON(sp, "delta.rebase"); !ok {
+		t.Fatalf("a changed fold did not rebase: %s", sol.raw)
 	}
 	waitReady(t, ts, id)
 	var build map[string]any

@@ -378,13 +378,13 @@ func (m *sessionManager) freshen(ctx context.Context, db *db, s *session) (*sess
 // generation is want, publishes the successor view, and reports the path it
 // took: "fold", "rescan", or "noop" when the answer set did not change. It
 // folds the appended rows into the retained aggregation when it can: the
-// fold knows the delta by group id, so an unchanged answer set needs no
-// query and no fingerprint, and a changed one goes straight to the rebase.
-// Otherwise (the first refresh, a replaced table, a dictionary outgrowing
-// its key field, a join) it re-runs the query, re-seeding the retained
-// aggregation where the query folds, and diffs the result against the live
-// state. The successor store build starts once answered is closed (see
-// buildStore).
+// fold compares group ids and value bits with its previous output, so an
+// unchanged answer set needs no query and no fingerprint. Otherwise (the
+// first refresh, a replaced table, a dictionary outgrowing its key field, a
+// join) it re-runs the query, re-seeding the retained aggregation where the
+// query folds, and compares fingerprints. Either way a changed result goes
+// to the live state's rebase. The successor store build starts once
+// answered is closed (see buildStore).
 func (m *sessionManager) refresh(ctx context.Context, answered <-chan struct{}, sp *obs.Span, opts []qagview.QueryOption, cat *qagview.DB, s *session, cur *sessionView, want uint64) (*sessionView, string, error) {
 	var f *engine.Folded
 	if s.fold != nil {
@@ -435,19 +435,13 @@ func (m *sessionManager) refresh(ctx context.Context, answered <-chan struct{}, 
 	cur.build.cancel()
 	//qag:allow lockscope deliberate: refreshMu serializes refreshes per session, and the superseded build was just cancelled, so ready closes promptly; waiting here is what guarantees Live's single-writer contract
 	<-cur.build.ready
-	changed := true
-	var err error
-	if f != nil {
-		_, err = s.live.RefreshWithOrigin(ctx, res, f.Origin)
-	} else {
-		_, changed, err = s.live.RefreshCtx(ctx, res)
-	}
+	_, changed, err := s.live.RefreshCtx(ctx, res)
 	if err != nil {
 		return nil, "", fmt.Errorf("refresh: %w", err)
 	}
 	if !changed {
 		// A rescan after folds had no fingerprint of the current view to
-		// compare (folds compute none), so only the diff found the answer
+		// compare (folds compute none), so only the rebase found the answer
 		// set unchanged, after the sweep was superseded: keep its store if
 		// it had finished, sweep again otherwise.
 		path, same.dataFP = "noop", fp

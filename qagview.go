@@ -79,8 +79,9 @@ type (
 	// DeltaBatch is a batch of answer-space edits for incremental
 	// maintenance: rendered rows to append and ranks to delete.
 	DeltaBatch = lattice.Delta
-	// DeltaStats reports what an incremental maintenance pass did (fast
-	// path, cluster churn, codec re-packing).
+	// DeltaStats reports what an incremental maintenance pass did: whether
+	// the top-L prefix was unchanged (fast path), how many clusters were
+	// generated afresh, and whether the keys were re-packed.
 	DeltaStats = lattice.DeltaStats
 )
 
@@ -132,9 +133,6 @@ var (
 	// ExecContext attaches a context to query execution; cancellation is
 	// observed between morsels.
 	ExecContext = engine.ExecContext
-	// ExecReference forces the row-at-a-time reference executor, for
-	// ablations and differential tests.
-	ExecReference = engine.ExecReference
 	// ExecHashJoin forces the binary hash-join plan for multi-table queries
 	// (overriding the cyclicity-based auto selection), for ablations.
 	ExecHashJoin = engine.ExecHashJoin
@@ -337,10 +335,10 @@ func (l *Live) Summarizer() *Summarizer { return l.sum }
 // bumped by every refresh or delta that changed anything.
 func (l *Live) DataVersion() uint64 { return l.m.Generation() }
 
-// Refresh reconciles the live state with a re-run query result: the result
-// is diffed against the current answer set, and any change — appends,
-// deletes, changed values, reordered ranks — is applied through the
-// incremental index maintenance, bit-identical to a from-scratch rebuild.
+// Refresh reconciles the live state with a re-run query result: any change
+// against the current answer set — appends, deletes, changed values,
+// reordered ranks — is applied through the incremental index maintenance,
+// bit-identical to a from-scratch rebuild.
 // changed reports whether anything was applied (the data version bumps
 // exactly when it did).
 func (l *Live) Refresh(res *Result) (DeltaStats, bool, error) {
@@ -348,7 +346,7 @@ func (l *Live) Refresh(res *Result) (DeltaStats, bool, error) {
 }
 
 // RefreshCtx is Refresh under a caller context: traced requests (see
-// internal/obs) record the diff and rebase stages as spans. The context
+// internal/obs) record the refresh and its rebase as spans. The context
 // carries observability only — a refresh is not cancellable midway.
 func (l *Live) RefreshCtx(ctx context.Context, res *Result) (DeltaStats, bool, error) {
 	if res == nil {
@@ -362,23 +360,6 @@ func (l *Live) RefreshCtx(ctx context.Context, res *Result) (DeltaStats, bool, e
 		l.sum = &Summarizer{space: l.m.Index().Space, ix: l.m.Index()}
 	}
 	return stats, changed, nil
-}
-
-// RefreshWithOrigin applies a changed result whose delta against the
-// current answer set the caller already knows, skipping Refresh's ranking
-// sort and diff: res must be in ranked order (non-increasing values), and
-// origin[i] is the current rank row i carries over unchanged (same rendered
-// row, same value bits), or -1. The data version bumps.
-func (l *Live) RefreshWithOrigin(ctx context.Context, res *Result, origin []int32) (DeltaStats, error) {
-	if res == nil {
-		return DeltaStats{}, fmt.Errorf("qagview: nil result")
-	}
-	stats, err := l.m.RefreshWithOrigin(ctx, res.Rows, res.Vals, origin)
-	if err != nil {
-		return stats, err
-	}
-	l.sum = &Summarizer{space: l.m.Index().Space, ix: l.m.Index()}
-	return stats, nil
 }
 
 // ApplyDelta applies a prebuilt batch of answer-tuple appends and deletes
