@@ -65,12 +65,16 @@ bench:
 benchgate: bench
 	go run ./cmd/benchcmp -baseline bench_baseline.json -candidate $(BENCH_JSON) -threshold 0.30
 
-# fuzz gives the SQL front end a short adversarial workout: the parser
-# fuzzer, then the differential executor fuzzer (reference vs vectorized at
-# par 1/8 x auto/hash/generic join paths, including multi-word keys).
+# fuzz gives the SQL front end and the cluster kernels a short adversarial
+# workout: the parser fuzzer, the differential executor fuzzer (reference vs
+# vectorized at par 1/8 x auto/hash/generic join paths, including multi-word
+# keys), on-demand coverage against the naive index, and the word-parallel
+# greedy kernel against the list-based one.
 fuzz:
 	go test -run '^$$' -fuzz FuzzParse -fuzztime 30s ./internal/engine/
 	go test -run '^$$' -fuzz FuzzExec -fuzztime 30s ./internal/engine/
+	go test -run '^$$' -fuzz FuzzLazyCoverage -fuzztime 30s ./internal/lattice/
+	go test -run '^$$' -fuzz FuzzGreedyKernel -fuzztime 30s ./internal/summarize/
 
 # e2e builds qagviewd and drives its session/solution/diff endpoints.
 e2e:

@@ -955,6 +955,9 @@ func BenchmarkTraceOverhead(b *testing.B) {
 // session has the e2ebench live shape: seven grouping attributes, gender =
 // 'M', the HAVING threshold that leaves about 1,500 groups, L = 1000, and
 // the (k, D) grid k in [1, 40], D in {1, 2, 3}.
+//
+// "fresh" times the append and the refreshing read only, with the timer
+// stopped while the successor store builds; "ready" times the whole cycle.
 func BenchmarkLiveRefresh(b *testing.B) {
 	rel, err := movielens.Generate(movielens.DefaultConfig())
 	if err != nil {
@@ -1024,30 +1027,47 @@ func BenchmarkLiveRefresh(b *testing.B) {
 	}
 	rating := rel.ColumnIndex("rating")
 	rng := rand.New(rand.NewSource(1))
-	batches := make([][][]string, b.N+1)
-	for i := range batches {
-		batches[i] = make([][]string, 64)
-		for j := range batches[i] {
+	batch := func() [][]string {
+		rows := make([][]string, 64)
+		for j := range rows {
 			r := pick[rng.Intn(len(pick))]
 			row := make([]string, rel.NumCols())
 			for c := range row {
 				row[c] = rel.StringAt(c, r)
 			}
 			row[rating] = itoa(1 + rng.Intn(5))
-			batches[i][j] = row
+			rows[j] = row
 		}
+		return rows
 	}
-	cycle := func(batch [][]string) {
+	refresh := func(batch [][]string) {
 		gen := call("POST", "/v1/tables/RatingTable/rows", map[string]any{"rows": batch})["data_version"].(float64)
 		for call("GET", session+"/solution?k=10&d=2", nil)["data_version"].(float64) < gen {
 		}
-		waitReady()
 	}
 	// Warm-up: the session's first refresh differs from the steady state.
-	cycle(batches[b.N])
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cycle(batches[i])
+	refresh(batch())
+	waitReady()
+	for _, timeBuild := range []bool{false, true} {
+		name := "fresh"
+		if timeBuild {
+			name = "ready"
+		}
+		b.Run(name, func(b *testing.B) {
+			batches := make([][][]string, b.N)
+			for i := range batches {
+				batches[i] = batch()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				refresh(batches[i])
+				if !timeBuild {
+					b.StopTimer()
+				}
+				waitReady()
+				b.StartTimer()
+			}
+		})
 	}
 }

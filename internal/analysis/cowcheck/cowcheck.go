@@ -9,11 +9,11 @@
 //
 //  1. Foreign index writes: outside internal/lattice, any write to a field
 //     of lattice.Cluster or lattice.Index (`c.Sum = ...`, `ix.L = ...`), or
-//     through a coverage subslice (`c.Cov[i] = ...`, including one-level
-//     local aliases `cov := c.Cov; cov[i] = ...`), is flagged. Cluster.Cov
-//     is a view into a coverage chunk the index shares among its filled
-//     clusters: writing one cluster's view corrupts its neighbors for
-//     every reader of the index.
+//     through a coverage view (`c.Cov[i] = ...`, `c.Bits[w] |= ...`,
+//     including one-level local aliases `cov := c.Cov; cov[i] = ...`), is
+//     flagged. Cluster.Cov and Cluster.Bits are views into coverage chunks
+//     the index shares among its filled clusters: writing one cluster's
+//     view corrupts its neighbors for every reader of the index.
 //
 //  2. Dict mutation without Clone: outside internal/relation, calling the
 //     interning method relation.Dict.ID — which mutates the dictionary — is
@@ -115,9 +115,9 @@ func checkWrite(pass *analysis.Pass, covAliases map[types.Object]bool, lhs ast.E
 			pass.Reportf(lhs.Pos(), "write to lattice.%s.%s outside internal/lattice: published indexes are immutable copy-on-write snapshots; route the change through ApplyDelta/Rebase", analysis.Deref(t).(*types.Named).Obj().Name(), l.Sel.Name)
 		}
 	case *ast.IndexExpr:
-		// c.Cov[i] = ..., cov[i] = ... (alias), ix.Clusters[i] = ...
+		// c.Cov[i] = ..., c.Bits[w] = ..., cov[i] = ... (alias), ix.Clusters[i] = ...
 		if isCovView(pass, covAliases, l.X) {
-			pass.Reportf(lhs.Pos(), "write through a coverage-arena subslice outside internal/lattice: Cluster.Cov views the index's shared arena, so this corrupts other clusters for every reader; build new coverage via ApplyDelta/Rebase")
+			pass.Reportf(lhs.Pos(), "write through a coverage-arena subslice outside internal/lattice: Cluster.Cov and Cluster.Bits view chunks the index shares, so this corrupts other clusters for every reader; build new coverage via ApplyDelta/Rebase")
 			return
 		}
 		if sel, ok := l.X.(*ast.SelectorExpr); ok {
@@ -128,11 +128,12 @@ func checkWrite(pass *analysis.Pass, covAliases map[types.Object]bool, lhs ast.E
 	}
 }
 
-// isCovView reports whether e denotes a Cluster.Cov subslice: the selector
-// itself or a local alias assigned from one.
+// isCovView reports whether e denotes a coverage view, a Cluster.Cov or
+// Cluster.Bits subslice: the selector itself or a local alias assigned from
+// one.
 func isCovView(pass *analysis.Pass, covAliases map[types.Object]bool, e ast.Expr) bool {
 	if sel, ok := e.(*ast.SelectorExpr); ok {
-		return sel.Sel.Name == "Cov" && analysis.IsNamed(pass.TypeOf(sel.X), "lattice", "Cluster")
+		return (sel.Sel.Name == "Cov" || sel.Sel.Name == "Bits") && analysis.IsNamed(pass.TypeOf(sel.X), "lattice", "Cluster")
 	}
 	if id, ok := e.(*ast.Ident); ok {
 		return covAliases[pass.ObjectOf(id)]
@@ -141,7 +142,7 @@ func isCovView(pass *analysis.Pass, covAliases map[types.Object]bool, e ast.Expr
 }
 
 // collectCovAliases finds local variables assigned (one level) from a
-// Cluster.Cov selector, in source order.
+// Cluster.Cov or Cluster.Bits selector, in source order.
 func collectCovAliases(pass *analysis.Pass, body *ast.BlockStmt) map[types.Object]bool {
 	aliases := make(map[types.Object]bool)
 	ast.Inspect(body, func(n ast.Node) bool {

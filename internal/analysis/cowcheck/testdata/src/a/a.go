@@ -23,14 +23,33 @@ func covWrites(c *lattice.Cluster) {
 	tail[0] = 3 // want `write through a coverage-arena subslice`
 }
 
-// Reading coverage is what the views are for.
+// Rule 1: writes through coverage-bitmap views, direct and via aliases.
+func bitsWrites(c *lattice.Cluster) {
+	c.Bits[0] = 1  // want `write through a coverage-arena subslice`
+	c.Bits[1] |= 2 // want `write through a coverage-arena subslice`
+	c.Bits[2]++    // want `write through a coverage-arena subslice`
+	bits := c.Bits
+	bits[0] &^= 1 // want `write through a coverage-arena subslice`
+	rest := bits[1:]
+	rest[0] = 0   // want `write through a coverage-arena subslice`
+	c.BitsOff = 3 // want `write to lattice.Cluster.BitsOff outside internal/lattice`
+	c.Bits = nil  // want `write to lattice.Cluster.Bits outside internal/lattice`
+}
+
+// Reading coverage is what the views are for, and a copy is the reader's
+// own.
 func covReads(c *lattice.Cluster) int32 {
 	var total int32
 	cov := c.Cov
 	for _, id := range cov {
 		total += id
 	}
-	return total + c.Cov[0]
+	words := append([]uint64(nil), c.Bits...)
+	words[0] = 0
+	for _, w := range c.Bits {
+		total += int32(w & 1)
+	}
+	return total + c.Cov[0] + int32(words[0])
 }
 
 // Rule 2: interning into a possibly-shared dictionary.

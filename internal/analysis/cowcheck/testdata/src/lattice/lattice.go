@@ -7,9 +7,11 @@ package lattice
 import "relation"
 
 type Cluster struct {
-	ID  int32
-	Cov []int32
-	Sum float64
+	ID      int32
+	BitsOff int32
+	Cov     []int32
+	Bits    []uint64
+	Sum     float64
 }
 
 type Index struct {
@@ -25,5 +27,6 @@ func (ix *Index) Rebase(n int) *Index { return ix }
 func maintain(ix *Index) {
 	ix.Clusters[0].Sum = 1
 	ix.Clusters[0].Cov[0] = 2
+	ix.Clusters[0].Bits[0] |= 4
 	ix.Clusters[0] = Cluster{}
 }

@@ -116,11 +116,13 @@ func (m *Maintainer) install(nix *lattice.Index, stats lattice.DeltaStats) {
 // Precompute builds a (k, D) store over the current index, stamped with the
 // current generation. The underlying sweeper is created on first use and
 // warm-started across generations after that: a sweeper left behind by
-// refreshes is first warmed onto the current index (a "delta.warm" span
-// under the context the options attach), once for all the refreshes since
-// it last ran. A kMax beyond what the chain was provisioned for
-// re-provisions it cold. Precompute options (context, parallelism) pass
-// through; the generation stamp is set by the maintainer.
+// refreshes is first warmed onto the current index, once for all the
+// refreshes since it last ran. A kMax beyond what the chain was provisioned
+// for re-provisions it cold. The warm and the cold start run under
+// "delta.warm" and "summarize.sweeper" spans of the context the options
+// attach, each with its Fixed-Order phase's evaluation counts. Precompute
+// options (context, parallelism) pass through; the generation stamp is set
+// by the maintainer.
 func (m *Maintainer) Precompute(kMin, kMax int, ds []int, opts ...precompute.Option) (*precompute.Store, error) {
 	if kMax < 1 {
 		return nil, fmt.Errorf("delta: kMax = %d, want >= 1", kMax)
@@ -132,7 +134,7 @@ func (m *Maintainer) Precompute(kMin, kMax int, ds []int, opts ...precompute.Opt
 	if m.sw != nil && m.stale && m.sw.KMax() >= kMax {
 		_, wsp := obs.StartSpan(ctx, "delta.warm")
 		sw, err := m.sw.Warm(m.ix, m.idsPreserved)
-		wsp.End()
+		endPhase(wsp, sw)
 		// A failed warm leaves the old sweeper's state half-migrated; drop
 		// it and cold-start below.
 		m.sw = sw
@@ -141,7 +143,9 @@ func (m *Maintainer) Precompute(kMin, kMax int, ds []int, opts ...precompute.Opt
 		}
 	}
 	if m.sw == nil || m.sw.KMax() < kMax {
+		_, ssp := obs.StartSpan(ctx, "summarize.sweeper")
 		sw, err := summarize.NewSweeper(m.ix, m.ix.L, kMax, m.sumOpts...)
+		endPhase(ssp, sw)
 		if err != nil {
 			return nil, err
 		}
@@ -152,4 +156,15 @@ func (m *Maintainer) Precompute(kMin, kMax int, ds []int, opts ...precompute.Opt
 	// WithGeneration (a serving layer with its own version numbering) wins.
 	opts = append([]precompute.Option{precompute.WithGeneration(m.gen)}, opts...)
 	return precompute.RunSweeper(m.sw, kMin, kMax, ds, opts...)
+}
+
+// endPhase ends sp, recording the evaluation counts of the Fixed-Order
+// phase that built sw, if it built one.
+func endPhase(sp *obs.Span, sw *summarize.Sweeper) {
+	if sw != nil {
+		st := sw.PhaseStats()
+		sp.SetInt("full_evals", int64(st.FullEvals))
+		sp.SetInt("delta_evals", int64(st.DeltaEvals))
+	}
+	sp.End()
 }

@@ -327,7 +327,7 @@ func Fig8B(e *Env) ([]Table, error) {
 	t := Table{
 		ID:     "fig8b",
 		Title:  "Algorithm time (ms) with vs without Delta-Judgment; k=20, D=2",
-		Header: []string{"L", "with delta ms", "without delta ms", "value (delta)", "value (no delta)", "full evals (delta)", "full evals (no delta)", "lca memo hits"},
+		Header: []string{"L", "with delta ms", "without delta ms", "value (delta)", "value (no delta)", "full evals (delta)", "full evals (no delta)"},
 		Notes: fmt.Sprintf("N = %d; Delta-Judgment is exact up to floating-point "+
 			"tie-breaking among equal-valued merges, so the two values may differ "+
 			"in the last digits", res.N()),
@@ -359,7 +359,7 @@ func Fig8B(e *Env) ([]Table, error) {
 			}
 		}
 		t.Add(L, fms(withMs), fms(t1.ms()), a.AvgValue(), b.AvgValue(),
-			withStats.FullEvals, withoutStats.FullEvals, withStats.LCAMemoHits)
+			withStats.FullEvals, withoutStats.FullEvals)
 	}
 	return []Table{t}, nil
 }

@@ -73,7 +73,7 @@ func TestFillsFollowTheAlgorithms(t *testing.T) {
 	}
 	for i, a := range ids {
 		for _, b := range ids[i+1:] {
-			if id, ok := ix.LCAOf(a, b); ok && id != a && id != b {
+			if id, err := ix.LCAID(a, b); err == nil && id != a && id != b {
 				reached[id] = true
 			}
 		}

@@ -16,10 +16,17 @@ import (
 type Cluster struct {
 	// ID is the cluster's id in its index, in [0, NumClusters).
 	ID int32
+	// BitsOff is the word offset of Bits[0] in an N-tuple bitmap.
+	BitsOff int32
 	// Cov lists covered tuple indices into Space.Tuples, ascending. It is a
 	// view into a coverage chunk the index owns: clusters do not own their
 	// coverage storage individually.
 	Cov []int32
+	// Bits is the same coverage as a bitmap over the ranked tuples, trimmed
+	// to the words from the first non-zero one to the last: bit i of Bits[w]
+	// is set when tuple 64·(BitsOff+w)+i is covered. Like Cov it is a view
+	// into a chunk the index owns.
+	Bits []uint64
 	// Pat is the cluster pattern.
 	Pat pattern.Pattern
 	// Sum is the total value of covered tuples.
@@ -49,9 +56,10 @@ func (c *Cluster) Avg() float64 {
 // tuples. A cluster's record — pattern, coverage and value sum — is filled
 // the first time the index hands the cluster out (Cluster, Singleton,
 // AllStar, Lookup, LCACluster): its coverage is the AND of the bitmaps of
-// its non-star attributes. The algorithms reach only a few percent of the
-// generated clusters, so most are never filled. Distance and Covers read
-// the packed keys and fill nothing.
+// its non-star attributes, kept both as that bitmap (trimmed to its
+// non-zero words) and as a tuple list. The algorithms reach only a few
+// percent of the generated clusters, so most are never filled. Distance,
+// Covers and LCAID read the packed keys and fill nothing.
 //
 // An Index may be shared freely across goroutines: the generated space is
 // immutable, a filled record never changes, and handing out a filled
@@ -74,15 +82,17 @@ type Index struct {
 
 	// cells[id] points at cluster id's record once it is filled.
 	cells []atomic.Pointer[Cluster]
-	// filled and covLen count filled records and their coverage entries.
-	filled, covLen atomic.Int64
+	// filled, covLen and bitsLen count filled records, their coverage
+	// entries and their bitmap words.
+	filled, covLen, bitsLen atomic.Int64
 
-	// mu serializes fills; the chunks records, patterns and coverage lists
-	// are carved from, and the AND scratch, are guarded by it.
+	// mu serializes fills; the chunks records, patterns, coverage lists and
+	// bitmaps are carved from, and the AND scratch, are guarded by it.
 	mu      sync.Mutex
 	recs    []Cluster
-	pats    []int32
+	pats    pattern.Pattern
 	covs    []int32
+	bits    []uint64
 	scratch []uint64
 }
 
@@ -265,10 +275,17 @@ func buildIndex(s *Space, L int, optimized bool) (*Index, BuildStats, error) {
 				}
 			}
 			stats.MappingOps += s.N()
-			c.Cov = ix.carve(len(cov))
+			c.Cov = carve(&ix.covs, len(cov), coverChunk)
 			copy(c.Cov, cov)
 			for _, t := range c.Cov {
 				c.Sum += s.Vals[t]
+			}
+			if len(cov) > 0 {
+				c.BitsOff = cov[0] >> 6
+				c.Bits = carve(&ix.bits, int(cov[len(cov)-1]>>6-c.BitsOff)+1, bitsChunk)
+				for _, t := range cov {
+					c.Bits[t>>6-c.BitsOff] |= 1 << (t & 63)
+				}
 			}
 			ix.publish(c)
 		}
@@ -283,42 +300,37 @@ func msSince(t0 time.Time) float64 {
 }
 
 // recordChunk and patternChunk are how many cluster records and patterns
-// share one allocation; coverChunk is the size of a coverage chunk (a list
-// longer than that gets one of its own size).
+// share one allocation; coverChunk and bitsChunk are the sizes of a coverage
+// and a bitmap chunk (a list or bitmap longer than that gets one of its own
+// size).
 const (
 	recordChunk  = 256
 	patternChunk = 256
 	coverChunk   = 8192
+	bitsChunk    = 2048
 )
 
 // record carves a record for cluster id with its pattern unpacked from the
 // key; coverage is left to the caller. The caller holds ix.mu (or owns ix
 // exclusively, as a build does).
 func (ix *Index) record(id int32) *Cluster {
-	if len(ix.recs) == 0 {
-		ix.recs = make([]Cluster, recordChunk)
-	}
-	c := &ix.recs[0]
-	ix.recs = ix.recs[1:]
+	c := &carve(&ix.recs, 1, recordChunk)[0]
 	m := ix.Space.M()
-	if len(ix.pats) < m {
-		ix.pats = make([]int32, patternChunk*m)
-	}
 	c.ID = id
-	c.Pat = pattern.Pattern(ix.pats[:m:m])
-	ix.pats = ix.pats[m:]
+	c.Pat = carve(&ix.pats, m, patternChunk*m)
 	ix.codec.Unpack(ix.key(id), c.Pat)
 	return c
 }
 
-// carve returns a coverage list of n entries from the current chunk.
-func (ix *Index) carve(n int) []int32 {
-	if n > len(ix.covs) {
-		ix.covs = make([]int32, max(n, coverChunk))
+// carve returns n zeroed entries from the current chunk *free, starting a
+// new chunk of max(n, size) entries when the current one is too short.
+func carve[S ~[]E, E any](free *S, n, size int) S {
+	if n > len(*free) {
+		*free = make(S, max(n, size))
 	}
-	cov := ix.covs[:n:n]
-	ix.covs = ix.covs[n:]
-	return cov
+	s := (*free)[:n:n]
+	*free = (*free)[n:]
+	return s
 }
 
 // publish makes a completed record visible to every reader.
@@ -326,15 +338,17 @@ func (ix *Index) publish(c *Cluster) *Cluster {
 	assertFill(ix, c)
 	ix.filled.Add(1)
 	ix.covLen.Add(int64(len(c.Cov)))
+	ix.bitsLen.Add(int64(len(c.Bits)))
 	ix.cells[c.ID].Store(c)
 	return c
 }
 
 // fill builds cluster id's record from the posting bitmaps: its coverage is
 // the AND of the bitmaps of its non-star attributes (every tuple for the
-// all-star cluster), listed in ascending tuple order, and its sum adds the
-// values in that order — the order every build has always accumulated in,
-// so sums are bit-identical to the naive build's.
+// all-star cluster), kept as a bitmap trimmed to its non-zero words and
+// listed in ascending tuple order, and its sum adds the values in that
+// order — the order every build has always accumulated in, so sums are
+// bit-identical to the naive build's.
 func (ix *Index) fill(id int32) *Cluster {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -366,20 +380,28 @@ func (ix *Index) fill(id int32) *Cluster {
 			acc[len(acc)-1] = 1<<r - 1
 		}
 	}
-	n := 0
-	for _, x := range acc {
-		n += bits.OnesCount64(x)
+	lo, hi, n := 0, 0, 0
+	for w, x := range acc {
+		if x != 0 {
+			if n == 0 {
+				lo = w
+			}
+			hi = w + 1
+			n += bits.OnesCount64(x)
+		}
 	}
-	c.Cov = ix.carve(n)
+	c.BitsOff = int32(lo)
+	c.Bits = carve(&ix.bits, hi-lo, bitsChunk)
+	copy(c.Bits, acc[lo:hi])
+	c.Cov = carve(&ix.covs, n, coverChunk)
 	vals := ix.Space.Vals
 	k := 0
-	for w, x := range acc {
-		for x != 0 {
-			t := int32(w<<6 | bits.TrailingZeros64(x))
+	for w, x := range c.Bits {
+		for ; x != 0; x &= x - 1 {
+			t := int32((lo+w)<<6 | bits.TrailingZeros64(x))
 			c.Cov[k] = t
 			c.Sum += vals[t]
 			k++
-			x &= x - 1
 		}
 	}
 	return ix.publish(c)
@@ -455,14 +477,14 @@ func (ix *Index) CoverageArenaLen() int { return int(ix.covLen.Load()) }
 
 // Bytes estimates the index's resident memory: per-cluster keys, table
 // slots and record pointers, the posting bitmaps, and the filled records
-// with their patterns and coverage. It is safe to call concurrently with
-// fills.
+// with their patterns, coverage lists and coverage bitmaps. It is safe to
+// call concurrently with fills.
 func (ix *Index) Bytes() int64 {
-	const recordBytes = 64 // Cluster record, in its chunk
+	const recordBytes = 88 // Cluster record, in its chunk
 	n := int64(len(ix.keys))*8 + ix.table.Bytes() + int64(len(ix.cells))*8
 	n += int64(len(ix.post)+len(ix.scratch)) * 8
 	n += ix.filled.Load() * int64(recordBytes+4*ix.Space.M())
-	n += ix.covLen.Load() * 4
+	n += ix.covLen.Load()*4 + ix.bitsLen.Load()*8
 	return n
 }
 
@@ -479,19 +501,36 @@ func (ix *Index) LCACluster(a, b *Cluster) (*Cluster, error) {
 	return c, nil
 }
 
+// LCAID returns the id of the LCA cluster of the clusters with ids a and b,
+// which must be valid ids of this index (out-of-range ids panic, like any
+// Index.Cluster access), from their packed keys and the key table: it fills
+// nothing and caches nothing. Like LCACluster, the returned error signals a
+// closure violation — the LCA pattern was never generated — which cannot
+// happen for clusters of one index.
+func (ix *Index) LCAID(a, b int32) (int32, error) {
+	var buf [maxKeyWords]uint64
+	key := buf[:ix.codec.Words()]
+	ix.codec.LCA(key, ix.key(a), ix.key(b))
+	if id, ok := ix.table.Find(key); ok {
+		return id, nil
+	}
+	p := make(pattern.Pattern, ix.Space.M())
+	ix.codec.Unpack(key, p)
+	return 0, fmt.Errorf("lattice: LCA %v of clusters %d and %d not in index", p, a, b)
+}
+
 // LCAMemo caches LCA cluster ids for pairs of cluster ids from one Index.
-// The greedy merge loops probe the same pairs repeatedly (a surviving pair is
-// re-evaluated every round until it merges or dies), so memoizing by id pair
-// removes the repeated LCA computations and table lookups of LCACluster. A
-// memo is index-level state — entries never go stale because the cluster
-// space is immutable — but it is NOT safe for concurrent use; give each
-// worker or replay state its own memo.
+// It pays only where pairs repeat: the per-D replays of one precompute
+// start from the same cluster pool, so they probe the same pairs again,
+// while a single greedy run computes each pair's LCA once. A memo is
+// index-level state — entries never go stale because the cluster space is
+// immutable — but it is NOT safe for concurrent use; give each replay
+// state its own memo.
 type LCAMemo struct {
-	ix      *Index
-	memo    *pattern.Table // (a, b) id pair -> LCA cluster id
-	scratch pattern.Pattern
-	hits    int
-	misses  int
+	ix     *Index
+	memo   *pattern.Table // (a, b) id pair -> LCA cluster id
+	hits   int
+	misses int
 }
 
 // memoHint sizes a fresh LCA memo.
@@ -499,19 +538,10 @@ const memoHint = 256
 
 // NewLCAMemo returns an empty memo bound to the index.
 func (ix *Index) NewLCAMemo() *LCAMemo {
-	return &LCAMemo{
-		ix:      ix,
-		memo:    pattern.NewTable(1, memoHint),
-		scratch: make(pattern.Pattern, ix.Space.M()),
-	}
+	return &LCAMemo{ix: ix, memo: pattern.NewTable(1, memoHint)}
 }
 
-// LCAID returns the id of the LCA cluster of the clusters with ids a and b,
-// which must be valid ids of this index (out-of-range ids panic, like any
-// Index.Cluster access); callers resolve the id through Index.Cluster. Like
-// LCACluster, the returned error signals a closure violation — the LCA
-// pattern was never generated — which cannot happen for clusters of one
-// index.
+// LCAID is Index.LCAID through the memo.
 func (m *LCAMemo) LCAID(a, b int32) (int32, error) {
 	if a > b {
 		a, b = b, a
@@ -522,14 +552,9 @@ func (m *LCAMemo) LCAID(a, b int32) (int32, error) {
 		return id, nil
 	}
 	m.misses++
-	ix := m.ix
-	var buf [maxKeyWords]uint64
-	key := buf[:ix.codec.Words()]
-	ix.codec.LCA(key, ix.key(a), ix.key(b))
-	id, ok := ix.table.Find(key)
-	if !ok {
-		ix.codec.Unpack(key, m.scratch)
-		return 0, fmt.Errorf("lattice: LCA %v of clusters %d and %d not in index", m.scratch, a, b)
+	id, err := m.ix.LCAID(a, b)
+	if err != nil {
+		return 0, err
 	}
 	m.memo.Insert(pair[:], id)
 	return id, nil
@@ -546,9 +571,6 @@ func (m *LCAMemo) Rebind(ix *Index, keep bool) {
 	if !keep {
 		m.memo.Reset(1, memoHint)
 		m.hits, m.misses = 0, 0
-	}
-	if len(m.scratch) != ix.Space.M() {
-		m.scratch = make(pattern.Pattern, ix.Space.M())
 	}
 }
 

@@ -20,7 +20,8 @@ func allClusters(ix *Index) []*Cluster {
 }
 
 // assertSameCluster compares a handed-out cluster with the oracle's record
-// of the same id: pattern, coverage, and the exact bits of the sum.
+// of the same id: pattern, coverage list and bitmap, and the exact bits of
+// the sum.
 func assertSameCluster(t testing.TB, label string, got, want *Cluster) {
 	t.Helper()
 	if got.ID != want.ID || !pattern.Equal(got.Pat, want.Pat) {
@@ -32,6 +33,14 @@ func assertSameCluster(t testing.TB, label string, got, want *Cluster) {
 	for i := range got.Cov {
 		if got.Cov[i] != want.Cov[i] {
 			t.Fatalf("%s: cluster %d cov[%d] = %d, oracle %d", label, got.ID, i, got.Cov[i], want.Cov[i])
+		}
+	}
+	if got.BitsOff != want.BitsOff || len(got.Bits) != len(want.Bits) {
+		t.Fatalf("%s: cluster %d bitmap spans %d words at %d, oracle %d at %d", label, got.ID, len(got.Bits), got.BitsOff, len(want.Bits), want.BitsOff)
+	}
+	for i := range got.Bits {
+		if got.Bits[i] != want.Bits[i] {
+			t.Fatalf("%s: cluster %d bits[%d] = %x, oracle %x", label, got.ID, i, got.Bits[i], want.Bits[i])
 		}
 	}
 	if math.Float64bits(got.Sum) != math.Float64bits(want.Sum) {

@@ -5,6 +5,7 @@ package lattice
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Built with -tags qagcheck, every index handed out by a build or an
@@ -12,9 +13,11 @@ import (
 // of the system assumes (and qagvet checks callers against statically): the
 // packed codec wide enough for every dictionary's active domain. Every fill
 // is checked against a scan of all N tuples: the coverage must list exactly
-// the tuples the pattern covers, ascending, and the sum must be their values
-// added in that order, to the bit. Violations panic: a broken index is a
-// determinism bug in the lattice code, not a recoverable condition.
+// the tuples the pattern covers, ascending, the sum must be their values
+// added in that order, to the bit, and the bitmap must set exactly their
+// bits over the words from the first to the last. Violations
+// panic: a broken index is a determinism bug in the lattice code, not a
+// recoverable condition.
 func assertIndexInvariants(ix *Index, origin string) {
 	if ix == nil {
 		return
@@ -45,5 +48,19 @@ func assertFill(ix *Index, c *Cluster) {
 	}
 	if math.Float64bits(sum) != math.Float64bits(c.Sum) {
 		panic(fmt.Sprintf("qagcheck: fill: cluster %d %v sum %v, ascending scan gives %v", c.ID, c.Pat, c.Sum, sum))
+	}
+	// The bitmap sets exactly the listed tuples, over the words from the
+	// first listed tuple's to the last one's.
+	var want []uint64
+	off := int32(0)
+	if len(c.Cov) > 0 {
+		off = c.Cov[0] >> 6
+		want = make([]uint64, c.Cov[len(c.Cov)-1]>>6-off+1)
+		for _, t := range c.Cov {
+			want[t>>6-off] |= 1 << (t & 63)
+		}
+	}
+	if c.BitsOff != off || !slices.Equal(c.Bits, want) {
+		panic(fmt.Sprintf("qagcheck: fill: cluster %d %v bitmap %x at word %d, its coverage sets %x at word %d", c.ID, c.Pat, c.Bits, c.BitsOff, want, off))
 	}
 }

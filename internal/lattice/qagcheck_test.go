@@ -43,3 +43,8 @@ func TestQagcheckCatchesOutOfRangeCoverage(t *testing.T) {
 func TestQagcheckCatchesWrongSum(t *testing.T) {
 	expectFillPanic(t, &Cluster{Pat: pattern.Pattern{0, pattern.Star}, Cov: []int32{0, 1}, Sum: 4}, "sum")
 }
+
+func TestQagcheckCatchesWrongBitmap(t *testing.T) {
+	expectFillPanic(t, &Cluster{Pat: pattern.Pattern{0, pattern.Star}, Cov: []int32{0, 1}, Bits: []uint64{0b01}, Sum: 5}, "bitmap [1] at word 0")
+	expectFillPanic(t, &Cluster{Pat: pattern.Pattern{0, pattern.Star}, Cov: []int32{0, 1}, Bits: []uint64{0b11, 0}, Sum: 5}, "bitmap [3 0] at word 0")
+}

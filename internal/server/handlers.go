@@ -602,14 +602,23 @@ func checkParams(w http.ResponseWriter, sess *session, k, d int) bool {
 // solutionFor retrieves the (k, d) solution: from the view's precomputed
 // store when the background build has finished, otherwise from a live Hybrid
 // run over the view's summarizer — the store is an interactivity
-// optimization, never a blocking dependency.
-func solutionFor(sess *session, v *sessionView, k, d int) (*qagview.Solution, string, error) {
+// optimization, never a blocking dependency. A live run records its
+// evaluation counts on sp when sp is traced.
+func solutionFor(sess *session, v *sessionView, k, d int, sp *obs.Span) (*qagview.Solution, string, error) {
 	st, buildErr, ready := v.storeIfReady()
 	if ready && buildErr == nil {
 		sol, err := st.Solution(k, d)
 		return sol, "store", err
 	}
-	sol, err := v.sum.Summarize(qagview.Hybrid, qagview.Params{K: k, L: sess.L, D: d})
+	p := qagview.Params{K: k, L: sess.L, D: d}
+	if sp == nil {
+		sol, err := v.sum.Summarize(qagview.Hybrid, p)
+		return sol, "live", err
+	}
+	var stats qagview.Stats
+	sol, err := v.sum.Summarize(qagview.Hybrid, p, qagview.WithStats(&stats))
+	sp.SetInt("full_evals", int64(stats.FullEvals))
+	sp.SetInt("delta_evals", int64(stats.DeltaEvals))
 	return sol, "live", err
 }
 
@@ -659,7 +668,7 @@ func (s *Server) handleSolution(w http.ResponseWriter, r *http.Request) {
 	_, sp := obs.StartSpan(r.Context(), "solution")
 	sp.SetInt("k", int64(k))
 	sp.SetInt("d", int64(d))
-	sol, source, err := solutionFor(sess, v, k, d)
+	sol, source, err := solutionFor(sess, v, k, d, sp)
 	sp.SetAttr("source", source)
 	sp.End()
 	if err != nil {
@@ -735,12 +744,12 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	if !checkParams(w, sess, k1, d1) || !checkParams(w, sess, k2, d2) {
 		return
 	}
-	prev, prevSrc, err := solutionFor(sess, v, k1, d1)
+	prev, prevSrc, err := solutionFor(sess, v, k1, d1, nil)
 	if err != nil {
 		writeErr(w, http.StatusUnprocessableEntity, "no solution for k1=%d, d1=%d: %v", k1, d1, err)
 		return
 	}
-	next, nextSrc, err := solutionFor(sess, v, k2, d2)
+	next, nextSrc, err := solutionFor(sess, v, k2, d2, nil)
 	if err != nil {
 		writeErr(w, http.StatusUnprocessableEntity, "no solution for k2=%d, d2=%d: %v", k2, d2, err)
 		return

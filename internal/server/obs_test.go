@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -256,11 +257,14 @@ func TestMetricsScrapeObserveRace(t *testing.T) {
 // TestTracedSessionBuildSpans pins the session build's own spans: a traced
 // POST /v1/sessions shows lattice.build with the response's cluster and
 // tuple counts, and session.fingerprint; the background store build's
-// trace reports how many of those clusters the sweep filled.
+// trace reports how many of those clusters the sweep filled, and starts
+// the sweeper cold (summarize.sweeper). After an append, a traced fresh read
+// is answered live, and its solution span and the next build's delta.warm
+// carry the evaluation counts of their greedy runs.
 func TestTracedSessionBuildSpans(t *testing.T) {
 	_, ts := testServer(t, Config{TraceEnabled: true})
 	resp := post(t, ts, "/v1/sessions?trace=1", map[string]any{
-		"sql": testSQL, "l": 8, "kmin": 1, "kmax": 6, "ds": []int{0, 1, 2},
+		"sql": testSQL, "l": 8, "kmin": 1, "kmax": 3, "ds": []int{0, 1, 2},
 	})
 	if resp.code != http.StatusCreated {
 		t.Fatalf("create: %d %s", resp.code, resp.raw)
@@ -277,15 +281,10 @@ func TestTracedSessionBuildSpans(t *testing.T) {
 	if _, ok := findSpanJSON(root, "session.fingerprint"); !ok {
 		t.Fatalf("no session.fingerprint span: %s", resp.raw)
 	}
-	waitReady(t, ts, resp.body["session"].(string))
-	var filled string
-	for _, tr := range get(t, ts, "/debug/traces").body["traces"].([]any) {
-		if s := tr.(map[string]any); s["name"] == "session.build_store" {
-			build := get(t, ts, "/debug/traces/"+s["id"].(string)).body["root"].(map[string]any)
-			filled = spanAttrJSON(build, "clusters_filled")
-			break
-		}
-	}
+	id := resp.body["session"].(string)
+	waitReady(t, ts, id)
+	build := latestBuildTrace(t, ts)
+	filled := spanAttrJSON(build, "clusters_filled")
 	f, err := strconv.Atoi(filled)
 	if err != nil {
 		t.Fatalf("session.build_store clusters_filled = %q", filled)
@@ -293,4 +292,45 @@ func TestTracedSessionBuildSpans(t *testing.T) {
 	if c, _ := strconv.Atoi(clusters); f < 1 || f > c {
 		t.Fatalf("clusters_filled = %d of %d clusters", f, c)
 	}
+	// The pool of 2·kmax = 6 clusters is below L = 8, so every greedy run
+	// below merges and evaluates.
+	hasEvals := func(sp map[string]any, name string) {
+		t.Helper()
+		full, err := strconv.Atoi(spanAttrJSON(sp, "full_evals"))
+		if _, derr := strconv.Atoi(spanAttrJSON(sp, "delta_evals")); err != nil || derr != nil || full < 1 {
+			t.Fatalf("%s attrs %v, want full_evals >= 1 and delta_evals", name, sp["attrs"])
+		}
+	}
+	sws, ok := findSpanJSON(build, "summarize.sweeper")
+	if !ok {
+		t.Fatalf("first build has no summarize.sweeper span: %v", build)
+	}
+	hasEvals(sws, "summarize.sweeper")
+
+	appendRows(t, ts, "t", [][]string{{"A0", "B0", "C0", "100"}})
+	fresh := get(t, ts, "/v1/sessions/"+id+"/solution?k=2&d=1&trace=1")
+	sol, ok := findSpanJSON(fresh.body["trace"].(map[string]any)["root"].(map[string]any), "solution")
+	if !ok || spanAttrJSON(sol, "source") != "live" {
+		t.Fatalf("fresh read: no live solution span: %s", fresh.raw)
+	}
+	hasEvals(sol, "solution")
+	waitReady(t, ts, id)
+	warm, ok := findSpanJSON(latestBuildTrace(t, ts), "delta.warm")
+	if !ok {
+		t.Fatal("the build after the refresh has no delta.warm span")
+	}
+	hasEvals(warm, "delta.warm")
+}
+
+// latestBuildTrace returns the root span of the newest session.build_store
+// trace.
+func latestBuildTrace(t *testing.T, ts *httptest.Server) map[string]any {
+	t.Helper()
+	for _, tr := range get(t, ts, "/debug/traces").body["traces"].([]any) {
+		if s := tr.(map[string]any); s["name"] == "session.build_store" {
+			return get(t, ts, "/debug/traces/"+s["id"].(string)).body["root"].(map[string]any)
+		}
+	}
+	t.Fatal("no session.build_store trace")
+	return nil
 }

@@ -8,11 +8,3 @@ func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 func (b bitset) has(i int32) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 
 func (b bitset) set(i int32) { b[i>>6] |= 1 << (uint(i) & 63) }
-
-func (b bitset) unset(i int32) { b[i>>6] &^= 1 << (uint(i) & 63) }
-
-func (b bitset) clone() bitset {
-	c := make(bitset, len(b))
-	copy(c, b)
-	return c
-}

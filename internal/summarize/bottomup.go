@@ -74,7 +74,7 @@ func (ps *pairSet) best(filter func(dist int) bool, eval evaluator) (pairInfo, b
 		}
 		if filter == nil || filter(int(pi.dist)) {
 			if pi.lca < 0 {
-				id, err := ps.ws.lca.LCAID(pi.a, pi.b)
+				id, err := ps.ws.lcaID(pi.a, pi.b)
 				if err != nil {
 					// Clusters in a workset always come from its index; treat a
 					// miss as impossible-by-construction.
@@ -97,13 +97,18 @@ func (ps *pairSet) best(filter func(dist int) bool, eval evaluator) (pairInfo, b
 
 // merge applies the chosen pair: replaces its endpoints (and anything the
 // LCA covers) with the LCA cluster and adds candidate pairs between the new
-// cluster and the survivors.
+// cluster and the survivors. A pair best returned carries its LCA; any
+// other has it resolved here.
 func (ps *pairSet) merge(pi pairInfo) error {
-	a, b := ps.ws.ix.Cluster(pi.a), ps.ws.ix.Cluster(pi.b)
-	lca, _, err := ps.ws.merge(a, b)
-	if err != nil {
-		return err
+	if pi.lca < 0 {
+		id, err := ps.ws.lcaID(pi.a, pi.b)
+		if err != nil {
+			return err
+		}
+		pi.lca = id
 	}
+	lca := ps.ws.ix.Cluster(pi.lca)
+	ps.ws.add(lca) // covers both endpoints, so both leave the solution
 	for _, id := range ps.ws.ids {
 		if id == lca.ID {
 			continue

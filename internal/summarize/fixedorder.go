@@ -41,11 +41,12 @@ func mergeBestPartner(ws *workset, cand *lattice.Cluster, filter func(dist int) 
 	var best *lattice.Cluster
 	bestVal := 0.0
 	for _, id := range ws.ids {
-		c := ws.ix.Cluster(id)
 		if filter != nil && !filter(ws.ix.Distance(cand.ID, id)) {
 			continue
 		}
-		lcaID, err := ws.lca.LCAID(c.ID, cand.ID)
+		// Each candidate meets each partner once, so the LCA comes straight
+		// from the packed keys: a memo would only insert.
+		lcaID, err := ws.ix.LCAID(id, cand.ID)
 		if err != nil {
 			return err
 		}

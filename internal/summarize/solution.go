@@ -8,6 +8,7 @@ package summarize
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -62,20 +63,28 @@ func (s *Solution) AvgValue() float64 {
 func (s *Solution) Size() int { return len(s.Clusters) }
 
 // newSolution assembles a Solution from clusters, computing the covered
-// union against the index's space.
+// union against the index's space: the sum adds each newly seen tuple's
+// value cluster by cluster, in ascending tuple order within each, and the
+// covered list is read off the union bitmap.
 func newSolution(ix *lattice.Index, clusters []*lattice.Cluster) *Solution {
 	sol := &Solution{Clusters: append([]*lattice.Cluster(nil), clusters...)}
 	seen := newBitset(ix.Space.N())
+	vals := ix.Space.Vals
 	for _, c := range sol.Clusters {
-		for _, t := range c.Cov {
-			if !seen.has(t) {
-				seen.set(t)
-				sol.Covered = append(sol.Covered, t)
-				sol.Sum += ix.Space.Vals[t]
+		off := int(c.BitsOff)
+		for i, b := range c.Bits {
+			x := b &^ seen[off+i]
+			seen[off+i] |= x
+			for ; x != 0; x &= x - 1 {
+				sol.Sum += vals[(off+i)<<6|bits.TrailingZeros64(x)]
 			}
 		}
 	}
-	sort.Slice(sol.Covered, func(a, b int) bool { return sol.Covered[a] < sol.Covered[b] })
+	for w, x := range seen {
+		for ; x != 0; x &= x - 1 {
+			sol.Covered = append(sol.Covered, int32(w<<6|bits.TrailingZeros64(x)))
+		}
+	}
 	sort.SliceStable(sol.Clusters, func(a, b int) bool {
 		return sol.Clusters[a].Avg() > sol.Clusters[b].Avg()
 	})
@@ -140,16 +149,12 @@ func Validate(ix *lattice.Index, p Params, sol *Solution) error {
 }
 
 // Stats reports evaluation-work counters from one algorithm run, for the
-// Delta-Judgment ablation (Figure 8b) and the dense-engine memoization:
-// FullEvals counts candidate evaluations that scanned the candidate's full
-// coverage list; DeltaEvals counts evaluations answered from the
-// Delta-Judgment cache; LCAMemoHits/LCAMemoMisses count LCA-pair lookups
-// answered from the run's id-indexed memo vs computed against the lattice.
+// Delta-Judgment ablation (Figure 8b): FullEvals counts candidate
+// evaluations that scanned the candidate's full coverage; DeltaEvals counts
+// evaluations answered from the Delta-Judgment cache.
 type Stats struct {
-	FullEvals     int
-	DeltaEvals    int
-	LCAMemoHits   int
-	LCAMemoMisses int
+	FullEvals  int
+	DeltaEvals int
 }
 
 // Objective selects the optimization target of the greedy algorithms.
@@ -210,8 +215,6 @@ func finish(ws *workset, cfg *config) *Solution {
 	if cfg.stats != nil {
 		cfg.stats.FullEvals += ws.evalFull
 		cfg.stats.DeltaEvals += ws.evalDelta
-		cfg.stats.LCAMemoHits += ws.lca.Hits()
-		cfg.stats.LCAMemoMisses += ws.lca.Misses()
 	}
 	return ws.solution()
 }

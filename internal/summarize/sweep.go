@@ -123,6 +123,12 @@ func NewSweeper(ix *Index, L, kMax int, opts ...Option) (*Sweeper, error) {
 	return &Sweeper{ix: ix, cfg: cfg, l: L, kMax: kMax, base: ws}, nil
 }
 
+// PhaseStats returns the evaluation counters of the shared Fixed-Order
+// phase that built the sweeper (by NewSweeper or Warm).
+func (sw *Sweeper) PhaseStats() Stats {
+	return Stats{FullEvals: sw.base.evalFull, DeltaEvals: sw.base.evalDelta}
+}
+
 // PoolSize returns the number of clusters after the shared phase.
 func (sw *Sweeper) PoolSize() int { return sw.base.size() }
 
@@ -159,6 +165,7 @@ func (sw *Sweeper) getState() (st *replayState, reused bool) {
 	}
 	ws := newWorkset(sw.ix, sw.cfg.delta)
 	ws.obj = sw.cfg.obj
+	ws.lca = sw.ix.NewLCAMemo()
 	return &replayState{ws: ws}, false
 }
 

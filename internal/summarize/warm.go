@@ -51,7 +51,7 @@ func (sw *Sweeper) Warm(ix *Index, idsPreserved bool) (*Sweeper, error) {
 // solution state to empty (the state a fresh newWorkset presents). The
 // Delta-Judgment cache and membership stamps are invalidated by the
 // generation bump; keepMemo forwards the id-stability guarantee to the LCA
-// memo (see lattice.LCAMemo.Rebind).
+// memo of a replay state (see lattice.LCAMemo.Rebind).
 func (ws *workset) adoptIndex(ix *Index, keepMemo bool) {
 	ws.ix = ix
 	nc := ix.NumClusters()
@@ -63,14 +63,16 @@ func (ws *workset) adoptIndex(ix *Index, keepMemo bool) {
 		ws.cacheGen = append(ws.cacheGen, make([]uint32, nc-len(ws.cacheGen))...)
 	}
 	// Tuple-indexed bitmaps must match the new tuple count exactly (resetFrom
-	// copies whole bitmaps between worksets of one sweeper). lastDelta holds
-	// tuple indices of the old space, meaningless now — drop it and zero the
-	// bitmap rather than unsetting stale (possibly out-of-range) indices.
+	// copies whole bitmaps between worksets of one sweeper). The last delta
+	// names tuples of the old space, meaningless now: both bitmaps start
+	// zeroed.
 	words := (ix.Space.N() + 63) / 64
 	ws.covered = resizeBitset(ws.covered, words)
 	ws.ldBits = resizeBitset(ws.ldBits, words)
-	ws.lastDelta = ws.lastDelta[:0]
-	ws.lca.Rebind(ix, keepMemo)
+	ws.ldLo, ws.ldHi = 0, 0
+	if ws.lca != nil {
+		ws.lca.Rebind(ix, keepMemo)
+	}
 	ws.gen++
 	if ws.gen == 0 { // stamp wrap-around: clear and restart, as in resetFrom
 		for i := range ws.inSol {

@@ -1,6 +1,7 @@
 package summarize
 
 import (
+	"math/bits"
 	"sort"
 
 	"qagview/internal/lattice"
@@ -17,6 +18,12 @@ import (
 // (one O(1) bump invalidates everything, so a pooled workset resets without
 // reallocating), and the solution itself is maintained as a sorted id slice.
 // This makes a workset fully reusable across replays — see resetFrom.
+//
+// Coverage work runs over 64-bit words: a candidate's coverage bitmap
+// (lattice.Cluster.Bits) is combined with the covered bitmap one word at a
+// time, and the set bits of each word are visited lowest first. Every float
+// is therefore added in ascending tuple order, the order the coverage lists
+// were always summed in.
 type workset struct {
 	ix    *lattice.Index
 	delta bool
@@ -32,19 +39,22 @@ type workset struct {
 	sum     float64
 	cnt     int
 
-	round     int     // merge round counter; advances on every mutation
-	lastDelta []int32 // tuples newly covered in the previous round, ascending
-	ldBits    bitset  // bitset over lastDelta, for O(1) membership probes
+	// round is the merge round counter; it advances on every mutation.
+	round int
+	// ldBits holds the tuples newly covered in the previous round (the set
+	// T_j \ T_{j-1} of Algorithm 2). Only its words [ldLo, ldHi), the span
+	// of the non-zero ones, may be non-zero.
+	ldBits     bitset
+	ldLo, ldHi int
 
 	// cache is the Delta-Judgment cache, dense by candidate cluster id; an
 	// entry is live only while cacheGen[id] == gen.
 	cache    []deltaEntry
 	cacheGen []uint32
 
-	// lca memoizes LCA cluster ids for the pairs the merge loops probe.
+	// lca memoizes LCA cluster ids on replay states, whose per-D replays
+	// probe the same pairs again; it is nil on every other workset.
 	lca *lattice.LCAMemo
-
-	removedBuf []int32 // scratch backing the slice returned by add
 
 	// evalFull counts full coverage scans, for the Figure 8b ablation.
 	evalFull int
@@ -68,7 +78,6 @@ func newWorkset(ix *lattice.Index, useDelta bool) *workset {
 		inSol:   make([]uint32, ix.NumClusters()),
 		covered: newBitset(ix.Space.N()),
 		ldBits:  newBitset(ix.Space.N()),
-		lca:     ix.NewLCAMemo(),
 	}
 	if useDelta {
 		ws.cache = make([]deltaEntry, ix.NumClusters())
@@ -91,22 +100,14 @@ func (ws *workset) avg() float64 {
 	return ws.sum / float64(ws.cnt)
 }
 
-// ldBitsetScanFactor bounds when the one-round-stale cache update scans the
-// candidate's coverage list against the last-delta bitset: a linear pass is
-// cache-friendly but proportional to |cov(c)|, so for clusters much larger
-// than the delta it is cheaper to test each delta tuple against the cluster
-// pattern directly (cov(c) is by construction exactly the tuples the pattern
-// covers). Both paths enumerate the intersection in ascending tuple order,
-// so the floating-point subtraction order — and hence the result — is
-// identical.
-const ldBitsetScanFactor = 32
-
 // marginal returns the sum and count of tuples in cov(c) not yet covered.
 // With Delta-Judgment enabled it reuses the cached marginals when they are at
 // most one round stale, subtracting the contribution of the tuples that were
-// newly covered last round (the list T_j \ T_{j-1} of Algorithm 2); otherwise
-// it falls back to a full scan of cov(c) against the coverage bitmap.
+// newly covered last round (c's words AND ldBits, over the overlap of the two
+// spans); otherwise it scans c's words AND-NOT the covered bitmap.
 func (ws *workset) marginal(c *lattice.Cluster) (dsum float64, dcnt int) {
+	vals := ws.ix.Space.Vals
+	off := int(c.BitsOff)
 	if ws.delta && ws.cacheGen[c.ID] == ws.gen {
 		e := &ws.cache[c.ID]
 		switch {
@@ -114,20 +115,11 @@ func (ws *workset) marginal(c *lattice.Cluster) (dsum float64, dcnt int) {
 			ws.evalDelta++
 			return e.dsum, int(e.dcnt)
 		case int(e.asOf) == ws.round-1:
-			if len(c.Cov) <= ldBitsetScanFactor*len(ws.lastDelta) {
-				for _, t := range c.Cov {
-					if ws.ldBits.has(t) {
-						e.dsum -= ws.ix.Space.Vals[t]
-						e.dcnt--
-					}
-				}
-			} else {
-				tuples := ws.ix.Space.Tuples
-				for _, t := range ws.lastDelta {
-					if c.Pat.CoversTuple(tuples[t]) {
-						e.dsum -= ws.ix.Space.Vals[t]
-						e.dcnt--
-					}
+			for w := max(off, ws.ldLo); w < min(off+len(c.Bits), ws.ldHi); w++ {
+				x := c.Bits[w-off] & ws.ldBits[w]
+				e.dcnt -= int32(bits.OnesCount64(x))
+				for ; x != 0; x &= x - 1 {
+					e.dsum -= vals[w<<6|bits.TrailingZeros64(x)]
 				}
 			}
 			e.asOf = int32(ws.round)
@@ -136,10 +128,12 @@ func (ws *workset) marginal(c *lattice.Cluster) (dsum float64, dcnt int) {
 		}
 	}
 	ws.evalFull++
-	for _, t := range c.Cov {
-		if !ws.covered.has(t) {
-			dsum += ws.ix.Space.Vals[t]
-			dcnt++
+	covered := ws.covered[off : off+len(c.Bits)]
+	for i, b := range c.Bits {
+		x := b &^ covered[i]
+		dcnt += bits.OnesCount64(x)
+		for ; x != 0; x &= x - 1 {
+			dsum += vals[(off+i)<<6|bits.TrailingZeros64(x)]
 		}
 	}
 	if ws.delta {
@@ -166,15 +160,12 @@ func (ws *workset) evalAdd(c *lattice.Cluster) float64 {
 
 // add inserts cluster c into the solution, removing any existing clusters
 // that c covers (the Merge procedure's incomparability maintenance), and
-// extends the covered set. It returns the ids of removed clusters, ascending;
-// the slice aliases internal scratch and is only valid until the next add.
-func (ws *workset) add(c *lattice.Cluster) (removed []int32) {
-	removed = ws.removedBuf[:0]
+// extends the covered set.
+func (ws *workset) add(c *lattice.Cluster) {
 	keep := ws.ids[:0]
 	for _, id := range ws.ids {
 		if id != c.ID && ws.ix.Covers(c.ID, id) {
 			ws.inSol[id] = 0
-			removed = append(removed, id)
 		} else {
 			keep = append(keep, id)
 		}
@@ -187,45 +178,48 @@ func (ws *workset) add(c *lattice.Cluster) (removed []int32) {
 		copy(ws.ids[pos+1:], ws.ids[pos:])
 		ws.ids[pos] = c.ID
 	}
-	for _, t := range ws.lastDelta {
-		ws.ldBits.unset(t)
-	}
-	newly := ws.lastDelta[:0]
-	for _, t := range c.Cov {
-		if !ws.covered.has(t) {
-			ws.covered.set(t)
-			ws.sum += ws.ix.Space.Vals[t]
-			ws.cnt++
-			ws.ldBits.set(t)
-			newly = append(newly, t)
+	// The words c newly covers become the last delta, in place of the
+	// previous round's.
+	clear(ws.ldBits[ws.ldLo:ws.ldHi])
+	ws.ldLo, ws.ldHi = 0, 0
+	vals := ws.ix.Space.Vals
+	off := int(c.BitsOff)
+	for i, b := range c.Bits {
+		w := off + i
+		x := b &^ ws.covered[w]
+		if x == 0 {
+			continue
+		}
+		if ws.ldHi == 0 {
+			ws.ldLo = w
+		}
+		ws.ldHi = w + 1
+		ws.covered[w] |= x
+		ws.ldBits[w] = x
+		ws.cnt += bits.OnesCount64(x)
+		for ; x != 0; x &= x - 1 {
+			ws.sum += vals[w<<6|bits.TrailingZeros64(x)]
 		}
 	}
 	ws.round++
-	ws.lastDelta = newly
-	ws.removedBuf = removed
-	return removed
 }
 
-// merge replaces clusters a and b (both in the solution) by their LCA
-// cluster, removing any other clusters the LCA covers. It returns the new
-// cluster and all removed ids (aliasing scratch, like add).
-func (ws *workset) merge(a, b *lattice.Cluster) (*lattice.Cluster, []int32, error) {
-	id, err := ws.lca.LCAID(a.ID, b.ID)
-	if err != nil {
-		return nil, nil, err
+// lcaID returns the id of the LCA cluster of a and b: through the memo on a
+// replay state, straight from the packed keys elsewhere.
+func (ws *workset) lcaID(a, b int32) (int32, error) {
+	if ws.lca != nil {
+		return ws.lca.LCAID(a, b)
 	}
-	lca := ws.ix.Cluster(id)
-	removed := ws.add(lca) // covers a and b, so both are removed
-	return lca, removed, nil
+	return ws.ix.LCAID(a, b)
 }
 
 // resetFrom rewinds the workset to base's solution state, reusing every
 // buffer: one generation bump invalidates the membership stamps and the
 // whole Delta-Judgment cache in O(1), and the coverage bitmap is overwritten
-// in place. The LCA memo is deliberately kept — it caches index-level facts
-// that never go stale. After resetFrom the workset behaves exactly like a
-// fresh deep copy of base with an empty cache (the contract the per-D
-// precompute replays relied on when this was workset.clone).
+// in place. The LCA memo, if any, is deliberately kept — it caches
+// index-level facts that never go stale. After resetFrom the workset behaves
+// exactly like a fresh deep copy of base with an empty cache (the contract
+// the per-D precompute replays relied on when this was workset.clone).
 func (ws *workset) resetFrom(base *workset) {
 	ws.gen++
 	if ws.gen == 0 { // stamp wrap-around: clear and restart
@@ -245,10 +239,8 @@ func (ws *workset) resetFrom(base *workset) {
 	copy(ws.covered, base.covered)
 	ws.sum, ws.cnt = base.sum, base.cnt
 	ws.round = 0
-	for _, t := range ws.lastDelta {
-		ws.ldBits.unset(t)
-	}
-	ws.lastDelta = ws.lastDelta[:0]
+	clear(ws.ldBits[ws.ldLo:ws.ldHi])
+	ws.ldLo, ws.ldHi = 0, 0
 	ws.evalFull, ws.evalDelta = 0, 0
 }
 

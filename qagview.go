@@ -259,11 +259,11 @@ func (s *Summarizer) ClustersFilled() int { return s.ix.FilledClusters() }
 
 // ApproxBytes estimates the summarizer's resident memory: cluster keys and
 // key table, the posting bitmaps, the filled cluster records with their
-// coverage, and the answer-space tuples. It grows as clusters are filled
-// and is safe to call while they are. Cache layers (the qagviewd session
-// LRU) use it for byte-budget accounting; it is an estimate, not an exact
-// allocator figure. Store.SizeBytes is the companion figure for
-// precomputed sweeps.
+// coverage lists and bitmaps, and the answer-space tuples. It grows as
+// clusters are filled and is safe to call while they are. Cache layers (the
+// qagviewd session LRU) use it for byte-budget accounting; it is an
+// estimate, not an exact allocator figure. Store.SizeBytes is the companion
+// figure for precomputed sweeps.
 func (s *Summarizer) ApproxBytes() int64 {
 	return s.ix.Bytes() + int64(s.space.N())*int64(s.space.M()+2)*4 // tuples + vals
 }
